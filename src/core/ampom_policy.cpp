@@ -70,7 +70,7 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   executor_.charge_handler(analysis);
   stats_.analysis_time += analysis;
 
-  const double score = analyzer_.score(window);
+  const double score = analyzer_.analyze_window(window, streams_);
   const ResourceEstimates res = resources_();
   ZoneInputs inputs;
   inputs.locality_score = score;
@@ -80,22 +80,19 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   inputs.rtt_one_way = res.rtt_one_way;
   inputs.page_transfer = res.page_transfer;
   const std::uint64_t n = zone_size(inputs, config_);
-  const std::vector<StrideStream> streams = analyzer_.outstanding_streams(window);
   if (trace_) {
-    trace_(inputs, n, streams.size());
+    trace_(inputs, n, streams_.size());
   }
-  const std::vector<mem::PageId> zone =
-      select_zone(window, streams, n, aspace.page_count());
+  select_zone(window, streams_, n, aspace.page_count(), zone_);
   stats_.last_score = score;
   stats_.last_zone_size = n;
-  stats_.zone_pages_considered += zone.size();
+  stats_.zone_pages_considered += zone_.size();
 
   // 6. Record the pages that are "not stored locally" in the request.
-  std::vector<mem::PageId> missing;
-  missing.reserve(zone.size());
-  for (const mem::PageId z : zone) {
+  missing_.clear();
+  for (const mem::PageId z : zone_) {
     if (z != page && aspace.state(z) == mem::PageState::Remote) {
-      missing.push_back(z);
+      missing_.push_back(z);
     }
   }
 
@@ -105,25 +102,21 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   switch (now_kind) {
     case mem::AccessKind::Hit: {
       // The faulted page was in the lookaside buffer and step 1 mapped it.
-      send_requests(std::move(missing), mem::kInvalidPage);
+      send_requests(mem::kInvalidPage);
       executor_.complete_fault(page);
       return;
     }
     case mem::AccessKind::HardFault: {
       blocked_page_ = page;
       aspace.mark_in_flight(page);
-      std::vector<mem::PageId> batch;
-      batch.reserve(missing.size() + 1);
-      batch.push_back(page);
-      batch.insert(batch.end(), missing.begin(), missing.end());
-      send_requests(std::move(batch), page);
+      send_requests(page);
       return;  // resumes when the urgent page arrives
     }
     case mem::AccessKind::InFlightWait: {
       // Already requested as a prefetch; wait for it, but still issue the
       // new prefetches the analysis found.
       blocked_page_ = page;
-      send_requests(std::move(missing), mem::kInvalidPage);
+      send_requests(mem::kInvalidPage);
       return;
     }
     default:
@@ -131,30 +124,35 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   }
 }
 
-void AmpomPolicy::send_requests(std::vector<mem::PageId> pages, mem::PageId urgent) {
-  if (pages.empty()) {
+void AmpomPolicy::send_requests(mem::PageId urgent) {
+  if (missing_.empty() && urgent == mem::kInvalidPage) {
     return;
   }
   mem::AddressSpace& aspace = executor_.process().aspace();
-  for (const mem::PageId p : pages) {
-    if (p == urgent) {
-      continue;  // already marked InFlight by the caller
-    }
+  for (const mem::PageId p : missing_) {
     aspace.mark_in_flight(p);
     ++stats_.prefetch_pages_issued;
   }
+  // The request carries the urgent page (already marked InFlight by the
+  // caller) first, then the prefetches.
+  std::vector<mem::PageId> batch;
+  batch.reserve(missing_.size() + 1);
+  if (urgent != mem::kInvalidPage) {
+    batch.push_back(urgent);
+  }
+  batch.insert(batch.end(), missing_.begin(), missing_.end());
 
   const sim::Time build = executor_.costs().request_build;
   if (config_.batch_requests) {
     ++stats_.requests_sent;
-    sim_.schedule_after(build, [this, batch = std::move(pages), urgent] {
+    sim_.schedule_after(build, [this, batch = std::move(batch), urgent] {
       client_.request_pages(batch, urgent);
     });
     return;
   }
   // Ablation: one request per page (no batching).
   std::int64_t i = 0;
-  for (const mem::PageId p : pages) {
+  for (const mem::PageId p : batch) {
     ++stats_.requests_sent;
     sim_.schedule_after(build * (i + 1), [this, p, urgent] {
       client_.request_pages({p}, p == urgent ? p : mem::kInvalidPage);

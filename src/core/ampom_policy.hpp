@@ -70,7 +70,9 @@ class AmpomPolicy final : public proc::FaultPolicy {
   void set_trace(TraceHook hook) { trace_ = std::move(hook); }
 
  private:
-  void send_requests(std::vector<mem::PageId> missing, mem::PageId urgent);
+  // Marks missing_ InFlight and schedules the request for `urgent` (or
+  // kInvalidPage) plus missing_.
+  void send_requests(mem::PageId urgent);
   [[nodiscard]] LookbackWindow& partition_of(mem::PageId page);
 
   sim::Simulator& sim_;
@@ -87,6 +89,11 @@ class AmpomPolicy final : public proc::FaultPolicy {
   AmpomStats stats_;
   TraceHook trace_;
   mem::PageId blocked_page_{mem::kInvalidPage};
+  // Per-fault scratch, reused so the analysis allocates nothing once warm;
+  // only the request batch a scheduled send owns is allocated per fault.
+  std::vector<StrideStream> streams_;
+  std::vector<mem::PageId> zone_;
+  std::vector<mem::PageId> missing_;
 };
 
 }  // namespace ampom::core

@@ -36,11 +36,13 @@ struct ZoneInputs {
 // not yet measurable.
 [[nodiscard]] std::uint64_t zone_size(const ZoneInputs& in, const AmpomConfig& config);
 
-// Which pages form the zone. `total_pages` clips at the end of the address
-// space. The result preserves stream order and contains no duplicates.
-[[nodiscard]] std::vector<mem::PageId> select_zone(const LookbackWindow& window,
-                                                   const std::vector<StrideStream>& streams,
-                                                   std::uint64_t zone_pages,
-                                                   std::uint64_t total_pages);
+// Which pages form the zone, written to `zone` (cleared first; allocates
+// only when `zone` has to grow). `total_pages` clips at the end of the
+// address space. The result preserves stream order and contains no
+// duplicates. Throws std::invalid_argument for more than
+// LookbackWindow::kMaxCapacity streams (a window yields fewer).
+void select_zone(const LookbackWindow& window, const std::vector<StrideStream>& streams,
+                 std::uint64_t zone_pages, std::uint64_t total_pages,
+                 std::vector<mem::PageId>& zone);
 
 }  // namespace ampom::core

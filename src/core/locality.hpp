@@ -32,20 +32,22 @@ class LocalityAnalyzer {
 
   [[nodiscard]] std::size_t dmax() const { return dmax_; }
 
+  // The per-fault analysis in one pass over W: returns the spatial locality
+  // score S (Eq. 1, in [0, 1]) and writes the outstanding stride streams to
+  // `streams` (cleared first), ordered by end index (oldest first) and
+  // de-duplicated by pivot. Allocates only when `streams` has to grow.
+  double analyze_window(const LookbackWindow& w, std::vector<StrideStream>& streams) const;
+
   // stride_d for d = 1..dmax; index 0 of the result is stride_1.
   [[nodiscard]] std::vector<std::uint64_t> stride_counts(const LookbackWindow& w) const;
 
-  // The spatial locality score S (Eq. 1), in [0, 1].
+  // S alone, as analyze_window() computes it.
   [[nodiscard]] double score(const LookbackWindow& w) const;
 
-  // All outstanding stride streams, ordered by end index (oldest first),
-  // de-duplicated by pivot.
+  // The streams alone, as analyze_window() computes them.
   [[nodiscard]] std::vector<StrideStream> outstanding_streams(const LookbackWindow& w) const;
 
  private:
-  // Minimum forward stride of position p, or 0 if none within dmax.
-  [[nodiscard]] std::size_t stride_of(const LookbackWindow& w, std::size_t p) const;
-
   std::size_t dmax_;
 };
 

@@ -6,7 +6,9 @@
 // the same page are temporal locality and collapse into a single entry
 // (r_p != r_{p+1} for all p).
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -23,8 +25,11 @@ class LookbackWindow {
     double cpu{0.0};
   };
 
+  // The stride analysis keeps one 64-bit participation mask per stride.
+  static constexpr std::size_t kMaxCapacity = 64;
+
   explicit LookbackWindow(std::size_t capacity) : ring_(capacity) {
-    if (capacity < 2 || capacity > 64) {
+    if (capacity < 2 || capacity > kMaxCapacity) {
       throw std::invalid_argument("LookbackWindow capacity must be in [2, 64]");
     }
   }
@@ -57,6 +62,23 @@ class LookbackWindow {
   }
 
   [[nodiscard]] mem::PageId page(std::size_t i) const { return at(i).page; }
+
+  // Copies the pages oldest first into out[0, size()); `out` must hold at
+  // least size() entries. Returns size().
+  std::size_t copy_pages(std::span<mem::PageId> out) const {
+    if (out.size() < size_) {
+      throw std::out_of_range("LookbackWindow::copy_pages");
+    }
+    const std::size_t first = std::min(size_, ring_.size() - head_);
+    for (std::size_t i = 0; i < first; ++i) {
+      out[i] = ring_[head_ + i].page;
+    }
+    for (std::size_t i = first; i < size_; ++i) {
+      out[i] = ring_[i - first].page;
+    }
+    return size_;
+  }
+
   [[nodiscard]] mem::PageId last_page() const { return at(size_ - 1).page; }
   [[nodiscard]] sim::Time first_time() const { return at(0).when; }
   [[nodiscard]] sim::Time last_time() const { return at(size_ - 1).when; }

@@ -75,6 +75,13 @@ class Deputy {
 
   [[nodiscard]] const DeputyStats& stats() const { return stats_; }
 
+  // Whether a request for `page` is queued until the page's re-migration
+  // flush lands (the migrant has asked for it; the deputy does not hold it
+  // yet).
+  [[nodiscard]] bool request_waits_on_flush(mem::PageId page) const {
+    return waiting_on_flush_.contains(page);
+  }
+
  private:
   sim::Simulator& sim_;
   net::Fabric& fabric_;

@@ -145,8 +145,15 @@ void InvariantAuditor::audit_pages(balancer::ProcessHost& host) {
         break;
       case Loc::Incoming:
         // Re-migration flush in flight back to home: the migrant must not
-        // think it still has it.
-        if (as != PageState::Remote) {
+        // think it still has it. InFlight (the migrant requested it) is
+        // accepted while the deputy holds that request queued for the flush
+        // to land; a request still on its way to the deputy is not visible
+        // here and is reported.
+        if (as == PageState::InFlight) {
+          if (!host.deputy().request_waits_on_flush(page)) {
+            fail(page, "incoming-flush page in flight with no request queued at the deputy");
+          }
+        } else if (as != PageState::Remote) {
           fail(page, "incoming-flush page still materialized at the migrant");
         }
         break;

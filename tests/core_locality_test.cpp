@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "core/locality.hpp"
+#include "simcore/rng.hpp"
 
 namespace ampom::core {
 namespace {
@@ -162,6 +165,105 @@ TEST(Locality, PartiallyFilledWindowNormalizesByCurrentSize) {
   }
   LocalityAnalyzer analyzer{4};
   EXPECT_DOUBLE_EQ(analyzer.score(w), 1.0);  // 4/(4*1)
+}
+
+// The two-pass analysis analyze_window() replaced: score and streams each walk W
+// through LookbackWindow::page(), recomputing every position's stride. Kept
+// as the reference the single pass must match bit for bit.
+struct ReferenceAnalyzer {
+  std::size_t dmax;
+
+  std::size_t stride_of(const LookbackWindow& w, std::size_t p) const {
+    const mem::PageId wanted = w.page(p) + 1;
+    const std::size_t limit = std::min(w.size() - 1 - p, dmax);
+    for (std::size_t d = 1; d <= limit; ++d) {
+      if (w.page(p + d) == wanted) {
+        return d;
+      }
+    }
+    return 0;
+  }
+
+  double score(const LookbackWindow& w) const {
+    const std::size_t n = w.size();
+    if (n < 2) {
+      return 0.0;
+    }
+    std::vector<std::uint64_t> masks(dmax + 1, 0);
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      const std::size_t d = stride_of(w, p);
+      if (d != 0) {
+        masks[d] |= (std::uint64_t{1} << p) | (std::uint64_t{1} << (p + d));
+      }
+    }
+    double s = 0.0;
+    for (std::size_t d = 1; d <= dmax; ++d) {
+      s += static_cast<double>(std::popcount(masks[d])) /
+           (static_cast<double>(n) * static_cast<double>(d));
+    }
+    return s > 1.0 ? 1.0 : s;
+  }
+
+  std::vector<StrideStream> streams(const LookbackWindow& w) const {
+    std::vector<StrideStream> out;
+    const std::size_t n = w.size();
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      const std::size_t d = stride_of(w, p);
+      if (d == 0 || p + 2 * d < n) {
+        continue;
+      }
+      const mem::PageId pivot = w.page(p + d) + 1;
+      if (std::none_of(out.begin(), out.end(),
+                       [pivot](const StrideStream& s) { return s.pivot == pivot; })) {
+        out.push_back(StrideStream{d, p + d, pivot});
+      }
+    }
+    return out;
+  }
+};
+
+// analyze_window() equals the two-pass reference exactly on random windows of
+// every length, filled past capacity so the ring wraps, over dmax values
+// below, at and beyond the window length.
+TEST(Locality, AnalyzeWindowMatchesTwoPassReference) {
+  sim::Rng rng{1996};
+  std::vector<StrideStream> streams;
+  std::uint64_t with_streams = 0;
+  for (int c = 0; c < 4000; ++c) {
+    const std::size_t capacity = 2 + rng.uniform(LookbackWindow::kMaxCapacity - 1);
+    const std::size_t dmax = rng.bernoulli(0.1) ? 60 + rng.uniform(10) : rng.uniform(9);
+    const std::uint64_t universe = 4 + rng.uniform(120);
+    LookbackWindow w{capacity};
+    const std::uint64_t records = rng.uniform(2 * capacity + 1);
+    // 1-5 interleaved forward streams plus random jumps, so links of many
+    // strides and several outstanding streams appear.
+    std::vector<mem::PageId> cursors(1 + rng.uniform(5));
+    for (mem::PageId& cursor : cursors) {
+      cursor = rng.uniform(universe);
+    }
+    std::int64_t t = 0;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      mem::PageId& cursor = cursors[rng.uniform(cursors.size())];
+      cursor = rng.bernoulli(0.8) ? cursor + 1 : rng.uniform(universe);
+      w.record(cursor, Time::from_us(++t), 1.0);
+    }
+    const LocalityAnalyzer analyzer{dmax};
+    const ReferenceAnalyzer reference{dmax};
+    const double s = analyzer.analyze_window(w, streams);
+    EXPECT_EQ(s, reference.score(w)) << "case " << c;
+    EXPECT_EQ(analyzer.score(w), s) << "case " << c;
+    const std::vector<StrideStream> expected = reference.streams(w);
+    ASSERT_EQ(streams.size(), expected.size()) << "case " << c;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(streams[i].d, expected[i].d) << "case " << c << " stream " << i;
+      EXPECT_EQ(streams[i].end_index, expected[i].end_index) << "case " << c << " stream " << i;
+      EXPECT_EQ(streams[i].pivot, expected[i].pivot) << "case " << c << " stream " << i;
+    }
+    if (expected.size() > 1) {
+      ++with_streams;
+    }
+  }
+  EXPECT_GT(with_streams, 1000u);
 }
 
 }  // namespace

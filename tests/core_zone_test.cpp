@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "core/dependent_zone.hpp"
+#include "simcore/rng.hpp"
 
 namespace ampom::core {
 namespace {
@@ -19,6 +20,54 @@ LookbackWindow make_window(const std::vector<mem::PageId>& pages) {
     w.record(p, Time::from_us(++t), 1.0);
   }
   return w;
+}
+
+std::vector<mem::PageId> zone_of(const LookbackWindow& w, const std::vector<StrideStream>& streams,
+                                 std::uint64_t zone_pages, std::uint64_t total_pages) {
+  std::vector<mem::PageId> zone;
+  select_zone(w, streams, zone_pages, total_pages, zone);
+  return zone;
+}
+
+// The page-by-page hash-set selection select_zone replaced, kept as the
+// reference the run-list implementation must match exactly.
+std::vector<mem::PageId> reference_select_zone(const LookbackWindow& window,
+                                               const std::vector<StrideStream>& streams,
+                                               std::uint64_t zone_pages,
+                                               std::uint64_t total_pages) {
+  std::vector<mem::PageId> zone;
+  if (zone_pages == 0 || window.size() == 0 || total_pages == 0) {
+    return zone;
+  }
+  std::unordered_set<mem::PageId> chosen;
+  auto take_from = [&](mem::PageId start, std::uint64_t quota) {
+    mem::PageId page = start;
+    while (quota > 0 && page < total_pages) {
+      if (chosen.insert(page).second) {
+        zone.push_back(page);
+        --quota;
+      }
+      ++page;
+    }
+  };
+  if (streams.empty()) {
+    take_from(window.last_page() + 1, zone_pages);
+    return zone;
+  }
+  const auto m = static_cast<std::uint64_t>(streams.size());
+  const std::uint64_t base = zone_pages / m;
+  std::uint64_t remainder = zone_pages % m;
+  for (const StrideStream& stream : streams) {
+    std::uint64_t quota = base;
+    if (remainder > 0) {
+      ++quota;
+      --remainder;
+    }
+    if (quota > 0) {
+      take_from(stream.pivot, quota);
+    }
+  }
+  return zone;
 }
 
 AmpomConfig no_floor_config() {
@@ -133,14 +182,14 @@ TEST(ZoneSize, UnmeasurableRateUsesFallback) {
 TEST(SelectZone, ReadAheadWhenNoStreams) {
   // §3.4: no outstanding stream -> the N pages after r_l.
   const LookbackWindow w = make_window({40, 7, 90});
-  const auto zone = select_zone(w, {}, 4, 1000);
+  const auto zone = zone_of(w, {}, 4, 1000);
   EXPECT_EQ(zone, (std::vector<mem::PageId>{91, 92, 93, 94}));
 }
 
 TEST(SelectZone, QuotaSplitsAcrossStreams) {
   const LookbackWindow w = make_window({1, 2, 3});
   const std::vector<StrideStream> streams{{1, 9, 100}, {2, 8, 200}};
-  const auto zone = select_zone(w, streams, 6, 1000);
+  const auto zone = zone_of(w, streams, 6, 1000);
   ASSERT_EQ(zone.size(), 6u);
   EXPECT_EQ(std::count(zone.begin(), zone.end(), 100), 1);
   EXPECT_EQ(std::count(zone.begin(), zone.end(), 102), 1);
@@ -151,7 +200,7 @@ TEST(SelectZone, QuotaSplitsAcrossStreams) {
 TEST(SelectZone, RemainderGoesToEarlierStreams) {
   const LookbackWindow w = make_window({1, 2});
   const std::vector<StrideStream> streams{{1, 9, 100}, {2, 8, 200}, {3, 7, 300}};
-  const auto zone = select_zone(w, streams, 7, 1000);  // 3 + 2 + 2
+  const auto zone = zone_of(w, streams, 7, 1000);  // 3 + 2 + 2
   EXPECT_EQ(std::count(zone.begin(), zone.end(), 102), 1);
   EXPECT_EQ(std::count(zone.begin(), zone.end(), 103), 0);
   EXPECT_EQ(zone.size(), 7u);
@@ -162,7 +211,7 @@ TEST(SelectZone, SavedQuotaExtendsOverlappingStreams) {
   // quota; the stream extends further instead.
   const LookbackWindow w = make_window({1, 2});
   const std::vector<StrideStream> streams{{1, 9, 100}, {1, 8, 100}};
-  const auto zone = select_zone(w, streams, 6, 1000);
+  const auto zone = zone_of(w, streams, 6, 1000);
   // Both streams share pivot 100; the second stream's quota extends past
   // the first stream's pages: 100,101,102 then 103,104,105.
   EXPECT_EQ(zone, (std::vector<mem::PageId>{100, 101, 102, 103, 104, 105}));
@@ -171,7 +220,7 @@ TEST(SelectZone, SavedQuotaExtendsOverlappingStreams) {
 TEST(SelectZone, NoDuplicatesEver) {
   const LookbackWindow w = make_window({1, 2});
   const std::vector<StrideStream> streams{{1, 9, 10}, {2, 8, 12}, {3, 7, 11}};
-  const auto zone = select_zone(w, streams, 9, 1000);
+  const auto zone = zone_of(w, streams, 9, 1000);
   std::unordered_set<mem::PageId> unique(zone.begin(), zone.end());
   EXPECT_EQ(unique.size(), zone.size());
 }
@@ -179,21 +228,21 @@ TEST(SelectZone, NoDuplicatesEver) {
 TEST(SelectZone, ClipsAtAddressSpaceEnd) {
   const LookbackWindow w = make_window({1, 2});
   const std::vector<StrideStream> streams{{1, 9, 98}};
-  const auto zone = select_zone(w, streams, 10, 100);
+  const auto zone = zone_of(w, streams, 10, 100);
   EXPECT_EQ(zone, (std::vector<mem::PageId>{98, 99}));
 }
 
 TEST(SelectZone, ReadAheadClipsAtAddressSpaceEnd) {
   const LookbackWindow w = make_window({7, 97});
-  const auto zone = select_zone(w, {}, 10, 100);
+  const auto zone = zone_of(w, {}, 10, 100);
   EXPECT_EQ(zone, (std::vector<mem::PageId>{98, 99}));
 }
 
 TEST(SelectZone, ZeroZoneOrEmptyWindowYieldsNothing) {
   const LookbackWindow w = make_window({1, 2});
-  EXPECT_TRUE(select_zone(w, {}, 0, 100).empty());
+  EXPECT_TRUE(zone_of(w, {}, 0, 100).empty());
   LookbackWindow empty{4};
-  EXPECT_TRUE(select_zone(empty, {}, 5, 100).empty());
+  EXPECT_TRUE(zone_of(empty, {}, 5, 100).empty());
 }
 
 TEST(SelectZone, PaperPivotsProduceExpectedZone) {
@@ -202,8 +251,89 @@ TEST(SelectZone, PaperPivotsProduceExpectedZone) {
   // (5's stream took page 5 only).
   const LookbackWindow w = make_window({13, 27, 7, 8, 14, 8, 3, 15, 4, 5});
   const std::vector<StrideStream> streams{{3, 7, 16}, {2, 8, 5}, {1, 9, 6}};
-  const auto zone = select_zone(w, streams, 3, 1000);
+  const auto zone = zone_of(w, streams, 3, 1000);
   EXPECT_EQ(zone, (std::vector<mem::PageId>{16, 5, 6}));
+}
+
+TEST(SelectZone, RejectsMoreStreamsThanAWindowHolds) {
+  const LookbackWindow w = make_window({1, 2});
+  const std::vector<StrideStream> streams(LookbackWindow::kMaxCapacity + 1, StrideStream{1, 1, 10});
+  std::vector<mem::PageId> zone;
+  EXPECT_THROW(select_zone(w, streams, 8, 1000, zone), std::invalid_argument);
+  const std::vector<StrideStream> most(LookbackWindow::kMaxCapacity, StrideStream{1, 1, 10});
+  EXPECT_EQ(zone_of(w, most, 300, 1000).size(), 300u);
+}
+
+TEST(SelectZone, ReusedOutputIsCleared) {
+  const LookbackWindow w = make_window({1, 2});
+  std::vector<mem::PageId> zone{7, 7, 7};
+  select_zone(w, {}, 2, 1000, zone);
+  EXPECT_EQ(zone, (std::vector<mem::PageId>{3, 4}));
+  select_zone(w, {}, 0, 1000, zone);
+  EXPECT_TRUE(zone.empty());
+}
+
+// Differential test: the run-list selection equals the hash-set reference
+// page for page, in order, over seeded random cases: 0-19 streams with
+// duplicate, adjacent and overlapping pivots, zone sizes 0-256, and address
+// spaces small enough that clipping (pivots at or past the end included)
+// is common.
+TEST(SelectZone, MatchesHashSetReference) {
+  sim::Rng rng{20080415};
+  std::vector<mem::PageId> zone;
+  std::uint64_t clipped = 0;
+  std::uint64_t multi_stream = 0;
+  for (int c = 0; c < 12000; ++c) {
+    const std::uint64_t total = rng.bernoulli(0.05) ? rng.uniform(4) : 1 + rng.uniform(700);
+    LookbackWindow w{20};
+    const std::uint64_t records = rng.bernoulli(0.03) ? 0 : 1 + rng.uniform(20);
+    std::int64_t t = 0;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      w.record(rng.uniform(total + 8), Time::from_us(++t), 1.0);
+    }
+    const std::uint64_t zone_pages = rng.uniform(257);
+    const std::uint64_t m = rng.uniform(20);
+    std::vector<StrideStream> streams;
+    mem::PageId prev = rng.uniform(total + 16);
+    for (std::uint64_t i = 0; i < m; ++i) {
+      mem::PageId pivot = 0;
+      switch (rng.uniform(6)) {
+        case 0:
+          pivot = prev;  // duplicate
+          break;
+        case 1:
+          pivot = prev + 1;  // adjacent
+          break;
+        case 2:
+          pivot = prev + 1 + rng.uniform(12);  // overlapping run
+          break;
+        case 3:
+          pivot = prev >= 12 ? prev - rng.uniform(12) : prev;  // behind an earlier run
+          break;
+        case 4:
+          pivot = total + rng.uniform(4);  // at or past the end
+          break;
+        default:
+          pivot = rng.uniform(total + 16);
+          break;
+      }
+      streams.push_back(StrideStream{1 + rng.uniform(4), 0, pivot});
+      prev = pivot;
+    }
+    const std::vector<mem::PageId> expected = reference_select_zone(w, streams, zone_pages, total);
+    select_zone(w, streams, zone_pages, total, zone);
+    ASSERT_EQ(zone, expected) << "case " << c << ": " << m << " streams, N = " << zone_pages
+                              << ", total = " << total;
+    if (zone.size() < zone_pages) {
+      ++clipped;
+    }
+    if (m > 1) {
+      ++multi_stream;
+    }
+  }
+  // The generator really exercises clipping and multi-stream overlap.
+  EXPECT_GT(clipped, 1000u);
+  EXPECT_GT(multi_stream, 8000u);
 }
 
 }  // namespace

@@ -177,7 +177,8 @@ TEST_P(ZoneSelectionProperty, SelectionIsSaneForRandomWindows) {
     }
     const auto streams = analyzer.outstanding_streams(w);
     const std::uint64_t n = rng.uniform(64);
-    const auto zone = core::select_zone(w, streams, n, universe);
+    std::vector<mem::PageId> zone;
+    core::select_zone(w, streams, n, universe, zone);
     ASSERT_LE(zone.size(), n);
     std::unordered_set<mem::PageId> unique(zone.begin(), zone.end());
     ASSERT_EQ(unique.size(), zone.size());  // no duplicates
