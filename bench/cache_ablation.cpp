@@ -1,211 +1,34 @@
-// Cache ablation: what does cache-aware placement buy over load-only and
-// Eq.-3 scoring when destinations tie on load but not on LLC pressure?
+// Cache ablation: the world in bench/cache_ablation.hpp under the load,
+// eq3 and cache placement policies, across a sweep of migrant WSS.
 //
-// Each case builds a 3-node world with the memory hierarchy on and a
-// deliberate pressure asymmetry: node 1 hosts a big-WSS resident (~3/4 of
-// the LLC), node 2 a small one, so the two destinations tie on load while
-// their warm-up costs differ sharply. A 3-job burst on node 0 then forces
-// exactly one balancing move (imbalance 2 before, 1 after, threshold 1.5):
-//   load   — classic least-loaded pick; the tie breaks to node 1, the
-//            pressured cache, and the migrant pays the inflated warm-up;
-//   eq3    — the paper's Eq.-3 transfer-cost score; RTTs are symmetric
-//            here, so it ties and picks node 1 exactly like load;
-//   cache  — the CPMD-aware score sees the pressure and sends the migrant
-//            to node 2, so total warm-up charged is strictly lower.
-// The sweep varies the migrant's WSS, scaling the absolute CPMD cost the
-// policy avoids (migration/cpmd.hpp's calibration curve).
-//
-// tools/perf_gate --cache-input consumes the --json output, checks the
-// strict cache < load warm-up reduction and gates migrations/charges
-// against the committed BENCH_cache.json. Grids:
+// tools/perf_gate gates migrations and warm-up charges of the --json output
+// against the committed BENCH_cache.json; the strict cache < load/eq3
+// warm-up ordering is tests/cache_ablation_test. Grids:
 //
 //   --quick    1 MiB and 4 MiB migrant WSS   (CI smoke)
 //   (default)  quick + 16 MiB
 //   --full     default + 64 MiB
 
-#include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
-#include <string>
+#include <thread>
 #include <vector>
 
-#include "balancer/cluster_sim.hpp"
-#include "balancer/load_balancer.hpp"
-#include "driver/scenario.hpp"
-#include "workload/synthetic.hpp"
-
-namespace {
-
-using namespace ampom;
-
-struct PolicyResult {
-  std::uint64_t migrations{0};
-  double warmup_charged_ms{0.0};
-  double warmup_paid_ms{0.0};
-  double makespan_sec{0.0};
-};
-
-struct CaseResult {
-  std::uint64_t wss_kib{0};
-  std::uint32_t nodes{0};
-  std::uint64_t procs{0};
-  std::vector<std::pair<std::string, PolicyResult>> policies;
-};
-
-balancer::JobSpec job(const char* label, net::NodeId home, std::uint64_t memory_bytes,
-                      std::uint64_t touches, sim::Time start) {
-  balancer::JobSpec spec;
-  spec.home = home;
-  spec.label = label;
-  spec.start = start;
-  // Hot set: 32 pages keeps even the smallest (1 MiB) sweep point valid —
-  // the hot+cold split must fit inside the image's heap pages (a 1 MiB
-  // image keeps only ~48 of its 256 pages after code/data/stack).
-  spec.make_workload = [memory_bytes, touches] {
-    return std::make_unique<workload::HotColdStream>(memory_bytes, /*hot_pages=*/32,
-                                                     touches, /*cold_fraction=*/0.05,
-                                                     sim::Time::from_us(100));
-  };
-  return spec;
-}
-
-PolicyResult run_policy(std::uint64_t wss_kib, driver::Placement placement) {
-  balancer::WorldConfig config;
-  config.scheme = driver::Scheme::Ampom;
-  config.topology = cluster::Topology::flat(3);
-  config.hierarchy.enabled = true;
-  balancer::ClusterSim world{config};
-
-  // The contention: a big resident fills most of node 1's LLC, a small one
-  // barely touches node 2's. Both run long enough to outlive the burst, so
-  // the two destinations stay tied at load 1 when the balancer scans.
-  world.spawn(job("big-resident", 1, 24 * sim::kMiB, /*touches=*/120000, sim::Time::zero()));
-  world.spawn(job("small-resident", 2, 2 * sim::kMiB, /*touches=*/120000, sim::Time::zero()));
-
-  // The burst: three identical migrants on node 0 (loads 3/1/1, imbalance 2
-  // > 1.5); after one move the imbalance is 1 and the balancer goes quiet.
-  for (int i = 0; i < 3; ++i) {
-    world.spawn(job("migrant", 0, wss_kib * sim::kKiB, /*touches=*/30000,
-                    sim::Time::from_ms(25 * i)));
-  }
-
-  balancer::LoadBalancer::Config balancer_config;
-  balancer_config.assumed_freeze_seconds = 0.2;
-  balancer_config.placement = placement;
-  balancer::LoadBalancer balancer{world, balancer_config};
-  balancer.start();
-  world.run();
-
-  PolicyResult result;
-  result.makespan_sec = world.makespan().sec();
-  for (const auto& host : world.hosts()) {
-    result.migrations += host->migrations();
-    result.warmup_charged_ms += host->stats().warmup_charged.ms();
-    result.warmup_paid_ms += host->stats().warmup_paid.ms();
-  }
-  return result;
-}
-
-CaseResult run_case(std::uint64_t wss_kib) {
-  CaseResult result;
-  result.wss_kib = wss_kib;
-  result.nodes = 3;
-  result.procs = 5;
-  for (const driver::Placement placement :
-       {driver::Placement::kLoad, driver::Placement::kEq3, driver::Placement::kCacheAware}) {
-    result.policies.emplace_back(driver::placement_name(placement),
-                                 run_policy(wss_kib, placement));
-  }
-  return result;
-}
-
-std::string fmt(double v) {
-  std::ostringstream out;
-  out.precision(6);
-  out << v;
-  return out.str();
-}
-
-std::string render_json(const std::vector<CaseResult>& results) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"cache_ablation\",\n  \"cases\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    out += "    \"wss" + std::to_string(r.wss_kib) + "k\": {";
-    out += "\"wss_kib\": " + std::to_string(r.wss_kib);
-    out += ", \"nodes\": " + std::to_string(r.nodes);
-    out += ", \"procs\": " + std::to_string(r.procs);
-    out += ", \"policies\": {";
-    for (std::size_t p = 0; p < r.policies.size(); ++p) {
-      const auto& [name, pr] = r.policies[p];
-      out += "\"" + name + "\": {";
-      out += "\"migrations\": " + std::to_string(pr.migrations);
-      out += ", \"warmup_charged_ms\": " + fmt(pr.warmup_charged_ms);
-      out += ", \"warmup_paid_ms\": " + fmt(pr.warmup_paid_ms);
-      out += ", \"makespan_sec\": " + fmt(pr.makespan_sec);
-      out += p + 1 < r.policies.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += i + 1 < results.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-}  // namespace
+#include "bench/cache_ablation.hpp"
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return 2;
-    }
-  }
-
-  std::vector<std::uint64_t> grid = {1024, 4096};
-  if (!quick) {
-    grid.push_back(16384);
-  }
-  if (full) {
-    grid.push_back(65536);
-  }
-
-  std::vector<CaseResult> results;
-  for (const std::uint64_t wss_kib : grid) {
-    const CaseResult r = run_case(wss_kib);
+  using namespace ampom;
+  const bench::GridOptions opts = bench::parse_grid_options(argc, argv);
+  std::vector<bench::CacheCase> results;
+  for (const std::uint64_t wss_kib : bench::cache_ablation_grid(opts)) {
+    const bench::CacheCase r = bench::run_cache_case(wss_kib);
     std::cout << "wss" << r.wss_kib << "k:";
-    for (const auto& [name, pr] : r.policies) {
-      std::cout << "  " << name << " charged " << fmt(pr.warmup_charged_ms) << " ms ("
-                << pr.migrations << " moves)";
+    for (const bench::PolicyRun& run : r.policies) {
+      std::cout << "  " << run.policy << " charged " << run.warmup_charged_ms << " ms ("
+                << run.migrations << " moves)";
     }
     std::cout << "\n";
     results.push_back(r);
   }
-
-  const std::string json = render_json(results);
-  if (!json_path.empty()) {
-    std::ofstream out{json_path, std::ios::binary};
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << json;
-  } else {
-    std::cout << json;
-  }
-  return 0;
+  return bench::cache_metrics(results, std::thread::hardware_concurrency())
+      .write(opts.json_path);
 }

@@ -1,7 +1,7 @@
 #pragma once
 // Shared harness for the per-figure benchmark binaries.
 //
-// Every binary accepts:
+// Every figure binary accepts:
 //   --quick        run a reduced sweep (small sizes; for CI smoke runs)
 //   --jobs=N       run the sweep's cases on N worker threads (default 1;
 //                  results are bit-identical to the serial run)
@@ -12,6 +12,8 @@
 //   --csv=FILE     additionally dump every table as CSV
 // and prints one aligned table per paper figure, with the paper's reported
 // values quoted in the header comment of each binary for comparison.
+// The grid benches gated by tools/perf_gate (scale_sweep, parallel_sweep,
+// cache_ablation) take GridOptions instead and write a MetricsDoc.
 //
 // A bench declares its sweep instead of hand-rolling the loop: a SweepSpec
 // is a table schema plus a list of cases, where each case contributes one
@@ -30,6 +32,7 @@
 //                 [mib](std::span<const driver::RunMetrics> m) { ...row... });
 //   runner.run(spec);
 
+#include <charconv>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -79,6 +82,110 @@ inline Options parse_options(int argc, char** argv) {
   }
   return opts;
 }
+
+// The flags of the grid benches that emit a perf_gate document
+// (scale_sweep, parallel_sweep, cache_ablation): --quick / --full pick the
+// grid, --json=FILE writes the document to FILE instead of stdout.
+struct GridOptions {
+  bool quick{false};
+  bool full{false};
+  std::string json_path;
+};
+
+inline GridOptions parse_grid_options(int argc, char** argv) {
+  GridOptions opts;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      opts.quick = true;
+    } else if (arg == "--full") {
+      opts.full = true;
+    } else if (arg.rfind("--json=", 0) == 0) {
+      opts.json_path = arg.substr(7);
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
+      std::exit(0);
+    } else {
+      std::cerr << "unknown option: " << arg << "\n";
+      std::exit(2);
+    }
+  }
+  return opts;
+}
+
+// The one document format tools/perf_gate reads (schema 2):
+//   {"schema": 2, "tool": "scale_sweep", "host_cpus": 4, "metrics": {
+//     "n64.events": {"value": 1005370, "better": "both"},
+//     "n64.msgs_per_node_period": {"value": 5.97, "better": "lower", "limit": 9}}}
+// A metric is named "<case>.<name>". `better` is its whole rule: perf_gate
+// checks `limit` in that direction, holds lower/higher one-sided and both
+// inside a band against the committed baseline, and only reports info.
+// Values render in the shortest form that reads back to the same double, so
+// counters compared exactly survive the round trip.
+class MetricsDoc {
+ public:
+  enum class Better { kLower, kHigher, kBoth, kInfo };
+
+  MetricsDoc(std::string tool, unsigned host_cpus)
+      : tool_{std::move(tool)}, host_cpus_{host_cpus} {}
+
+  MetricsDoc& add(std::string name, double value, Better better,
+                  std::optional<double> limit = std::nullopt) {
+    metrics_.push_back(Metric{std::move(name), value, better, limit});
+    return *this;
+  }
+
+  [[nodiscard]] std::string render() const {
+    static constexpr const char* kBetterNames[] = {"lower", "higher", "both", "info"};
+    std::string out = "{\n  \"schema\": 2,\n  \"tool\": \"" + tool_ +
+                      "\",\n  \"host_cpus\": " + std::to_string(host_cpus_) +
+                      ",\n  \"metrics\": {\n";
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      const Metric& m = metrics_[i];
+      out += "    \"" + m.name + "\": {\"value\": " + number(m.value) + ", \"better\": \"" +
+             kBetterNames[static_cast<int>(m.better)] + "\"";
+      if (m.limit) {
+        out += ", \"limit\": " + number(*m.limit);
+      }
+      out += i + 1 < metrics_.size() ? "},\n" : "}\n";
+    }
+    out += "  }\n}\n";
+    return out;
+  }
+
+  // Writes the document to `path`, or to stdout when `path` is empty.
+  // Returns the bench's exit code: 0, or 2 when the file cannot be written.
+  [[nodiscard]] int write(const std::string& path) const {
+    if (path.empty()) {
+      std::cout << render();
+      return 0;
+    }
+    std::ofstream out{path, std::ios::binary};
+    if (!(out << render())) {
+      std::cerr << "cannot write " << path << "\n";
+      return 2;
+    }
+    return 0;
+  }
+
+ private:
+  struct Metric {
+    std::string name;
+    double value;
+    Better better;
+    std::optional<double> limit;
+  };
+
+  static std::string number(double v) {
+    char buf[32];
+    const auto result = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, result.ptr);
+  }
+
+  std::string tool_;
+  unsigned host_cpus_;
+  std::vector<Metric> metrics_;
+};
 
 // One sweep: a table schema plus cases. Scenario cases run on the pool and
 // format a row from their metrics; task cases are free-form row producers

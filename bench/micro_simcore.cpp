@@ -14,8 +14,9 @@
 //   allocs_per_op    heap allocations per engine op, via the global
 //                    operator-new hook below (0 for SBO-sized callbacks)
 //
-// tools/perf_gate consumes the --benchmark_out=FILE JSON, normalizes it to
-// BENCH_simcore.json and gates CI on the machine-independent fields.
+// --json=FILE writes the profiles as the perf_gate document (rules in
+// bench/perf_metrics.hpp); tools/perf_gate gates it against the committed
+// BENCH_simcore.json on the machine-independent fields.
 
 #include <benchmark/benchmark.h>
 
@@ -26,9 +27,12 @@
 #include <memory>
 #include <new>
 #include <queue>
+#include <string>
+#include <thread>
 #include <unordered_set>  // ampom-lint: ordered-safe(membership only; reference lazy-delete engine preserved verbatim)
 #include <vector>
 
+#include "bench/perf_metrics.hpp"
 #include "net/fabric.hpp"
 #include "proc/executor.hpp"
 #include "simcore/simulator.hpp"
@@ -417,6 +421,60 @@ void BM_ExecutorLocalRefs(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorLocalRefs);
 
+// Keeps each iteration run's counters for the --json document and passes
+// every run on to the display reporter the --benchmark_* flags chose.
+class CollectingReporter : public benchmark::BenchmarkReporter {
+ public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type == Run::RT_Iteration) {
+        auto& counters = counters_[run.benchmark_name()];
+        for (const auto& [name, counter] : run.counters) {
+          counters[name] = counter.value;
+        }
+      }
+    }
+    display_->ReportRuns(runs);
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  [[nodiscard]] const bench::BenchmarkCounters& counters() const { return counters_; }
+
+ private:
+  benchmark::BenchmarkReporter* display_ = benchmark::CreateDefaultDisplayReporter();  // library-owned
+  bench::BenchmarkCounters counters_;
+};
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) != 0) {
+      std::cerr << "unknown option: " << arg << "\n";
+      return 2;
+    }
+    json_path = arg.substr(7);
+  }
+  CollectingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  if (json_path.empty()) {
+    return 0;
+  }
+  std::string error;
+  const auto doc =
+      bench::simcore_metrics(reporter.counters(), std::thread::hardware_concurrency(), error);
+  if (!doc) {
+    std::cerr << "micro_simcore: " << error << "\n";
+    return 2;
+  }
+  return doc->write(json_path);
+}

@@ -13,8 +13,8 @@
 //                         floor where the hardware can deliver one (a
 //                         1-CPU CI container cannot)
 //
-// tools/perf_gate --parallel-input consumes the --json output and gates it
-// against the committed BENCH_parallel.json. Grids:
+// tools/perf_gate gates the --json output against the committed
+// BENCH_parallel.json (rules in bench/perf_metrics.hpp). Grids:
 //
 //   --quick    256 nodes (16x16), workers 1/2/4          (CI smoke)
 //   (default)  quick + 2000 nodes (20x100)               (the 2k claim)
@@ -22,16 +22,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
+#include "bench/perf_metrics.hpp"
 #include "driver/builder.hpp"
 #include "workload/synthetic.hpp"
 
@@ -48,21 +46,6 @@ struct CaseSpec {
   std::uint32_t procs_per_node;
 };
 
-struct WorkerResult {
-  std::size_t workers;
-  std::uint64_t events;
-  double sim_sec;
-  double wall_sec;
-  double events_per_sec;
-};
-
-struct CaseResult {
-  std::uint32_t nodes;
-  std::uint32_t zones;
-  std::uint64_t procs;
-  std::vector<WorkerResult> runs;
-};
-
 balancer::JobSpec scale_job(net::NodeId home, std::uint64_t index) {
   balancer::JobSpec job;
   job.home = home;
@@ -76,7 +59,7 @@ balancer::JobSpec scale_job(net::NodeId home, std::uint64_t index) {
   return job;
 }
 
-WorkerResult run_once(const CaseSpec& spec, std::size_t workers, std::uint64_t& procs_out) {
+bench::WorkerRun run_once(const CaseSpec& spec, std::size_t workers, std::uint64_t& procs_out) {
   const driver::Scenario scenario = driver::ScenarioBuilder{}
                                         .scheme(driver::Scheme::Ampom)
                                         .topology(spec.zones, spec.nodes_per_zone)
@@ -102,7 +85,7 @@ WorkerResult run_once(const CaseSpec& spec, std::size_t workers, std::uint64_t& 
   const auto wall_end = std::chrono::steady_clock::now();  // ampom-lint: nondet-ok(wall throughput is a reported quantity, never fed back into the run)
 
   procs_out = spawned;
-  WorkerResult result;
+  bench::WorkerRun result;
   result.workers = workers;
   result.events = world.simulator().events_processed();
   result.sim_sec = world.makespan().sec();
@@ -112,13 +95,13 @@ WorkerResult run_once(const CaseSpec& spec, std::size_t workers, std::uint64_t& 
   return result;
 }
 
-CaseResult run_case(const CaseSpec& spec) {
-  CaseResult result;
+bench::ParallelCase run_case(const CaseSpec& spec) {
+  bench::ParallelCase result;
   result.nodes = spec.zones * spec.nodes_per_zone;
   result.zones = spec.zones;
   for (const std::size_t workers : kWorkerCounts) {
     std::uint64_t procs = 0;
-    const WorkerResult run = run_once(spec, workers, procs);
+    const bench::WorkerRun run = run_once(spec, workers, procs);
     result.procs = procs;
     // Bit-identity is the contract the whole engine hangs off — check it
     // right here so a broken build cannot produce a plausible-looking curve.
@@ -136,98 +119,30 @@ CaseResult run_case(const CaseSpec& spec) {
   return result;
 }
 
-std::string fmt(double v) {
-  std::ostringstream out;
-  out.precision(6);
-  out << v;
-  return out.str();
-}
-
-std::string render_json(const std::vector<CaseResult>& results, unsigned host_cpus) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"parallel_sweep\",\n";
-  out += "  \"host_cpus\": " + std::to_string(host_cpus) + ",\n  \"cases\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    out += "    \"n" + std::to_string(r.nodes) + "\": {";
-    out += "\"nodes\": " + std::to_string(r.nodes);
-    out += ", \"zones\": " + std::to_string(r.zones);
-    out += ", \"procs\": " + std::to_string(r.procs);
-    out += ", \"runs\": {";
-    for (std::size_t w = 0; w < r.runs.size(); ++w) {
-      const WorkerResult& run = r.runs[w];
-      out += "\"w" + std::to_string(run.workers) + "\": {";
-      out += "\"workers\": " + std::to_string(run.workers);
-      out += ", \"events\": " + std::to_string(run.events);
-      out += ", \"sim_sec\": " + fmt(run.sim_sec);
-      out += ", \"wall_sec\": " + fmt(run.wall_sec);
-      out += ", \"events_per_sec\": " + fmt(run.events_per_sec);
-      out += w + 1 < r.runs.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += i + 1 < results.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return 2;
-    }
-  }
-
+  const bench::GridOptions opts = bench::parse_grid_options(argc, argv);
   std::vector<CaseSpec> grid = {{16, 16, 10}};
-  if (!quick) {
+  if (!opts.quick) {
     grid.push_back({20, 100, 10});
   }
-  if (full) {
+  if (opts.full) {
     grid.push_back({100, 100, 10});
   }
 
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  std::vector<CaseResult> results;
+  std::vector<bench::ParallelCase> results;
   for (const CaseSpec& spec : grid) {
-    const CaseResult r = run_case(spec);
+    const bench::ParallelCase r = run_case(spec);
     std::cout << "n" << r.nodes << ": " << r.procs << " procs, " << r.runs.front().events
-              << " events, sim " << fmt(r.runs.front().sim_sec) << " s\n";
-    for (const WorkerResult& run : r.runs) {
-      const double speedup = run.wall_sec > 0.0
-                                 ? r.runs.front().wall_sec / run.wall_sec
-                                 : 0.0;
-      std::cout << "  workers=" << run.workers << ": wall " << fmt(run.wall_sec)
-                << " s (" << fmt(run.events_per_sec / 1e6) << " Mev/s, "
-                << fmt(speedup) << "x vs workers=1)\n";
+              << " events, sim " << r.runs.front().sim_sec << " s\n";
+    for (const bench::WorkerRun& run : r.runs) {
+      const double speedup = run.wall_sec > 0.0 ? r.runs.front().wall_sec / run.wall_sec : 0.0;
+      std::cout << "  workers=" << run.workers << ": wall " << run.wall_sec << " s ("
+                << run.events_per_sec / 1e6 << " Mev/s, " << speedup << "x vs workers=1)\n";
     }
     results.push_back(r);
   }
-
-  const std::string json = render_json(results, host_cpus);
-  if (!json_path.empty()) {
-    std::ofstream out{json_path, std::ios::binary};
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << json;
-  } else {
-    std::cout << json;
-  }
-  return 0;
+  return bench::parallel_metrics(results, std::thread::hardware_concurrency())
+      .write(opts.json_path);
 }

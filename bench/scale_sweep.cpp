@@ -11,9 +11,9 @@
 //   wall_sec              host wall time (informational, machine-dependent)
 //   events_per_sec        events / wall_sec (informational)
 //
-// tools/perf_gate --scale-input consumes the --json output, normalizes it
-// to the committed BENCH_scale.json and gates the deterministic fields plus
-// the wall-time trajectory. Grids:
+// tools/perf_gate gates the --json output against the committed
+// BENCH_scale.json: the deterministic fields, the O(fan_out) ceiling and
+// the wall-time trajectory (bench/perf_metrics.hpp). Grids:
 //
 //   --quick    64 (8x8) and 256 (16x16) nodes         (CI smoke)
 //   (default)  quick + 1024 (32x32) and 2000 (20x100)
@@ -21,15 +21,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
-#include <string>
+#include <thread>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
+#include "bench/perf_metrics.hpp"
 #include "driver/builder.hpp"
 #include "workload/synthetic.hpp"
 
@@ -41,18 +40,6 @@ struct CaseSpec {
   std::uint32_t zones;
   std::uint32_t nodes_per_zone;
   std::uint32_t procs_per_node;  // spawned on the even nodes of each zone
-};
-
-struct CaseResult {
-  std::uint32_t nodes;
-  std::uint32_t zones;
-  std::uint32_t fan_out;
-  std::uint64_t procs;
-  std::uint64_t events;
-  double sim_sec;
-  double msgs_per_node_period;
-  double wall_sec;
-  double events_per_sec;
 };
 
 constexpr std::uint32_t kFanOut = 3;
@@ -72,7 +59,7 @@ balancer::JobSpec scale_job(net::NodeId home, std::uint64_t index) {
   return job;
 }
 
-CaseResult run_case(const CaseSpec& spec) {
+bench::ScaleCase run_case(const CaseSpec& spec) {
   const driver::Scenario scenario = driver::ScenarioBuilder{}
                                         .scheme(driver::Scheme::Ampom)
                                         .topology(spec.zones, spec.nodes_per_zone)
@@ -105,7 +92,7 @@ CaseResult run_case(const CaseSpec& spec) {
     daemon_msgs += world.infod(id).pings_sent() + world.infod(id).acks_received();
   }
 
-  CaseResult result;
+  bench::ScaleCase result;
   result.nodes = nodes;
   result.zones = spec.zones;
   result.fan_out = kFanOut;
@@ -121,85 +108,28 @@ CaseResult run_case(const CaseSpec& spec) {
   return result;
 }
 
-std::string fmt(double v) {
-  std::ostringstream out;
-  out.precision(6);
-  out << v;
-  return out.str();
-}
-
-std::string render_json(const std::vector<CaseResult>& results) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"scale_sweep\",\n  \"cases\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    out += "    \"n" + std::to_string(r.nodes) + "\": {";
-    out += "\"nodes\": " + std::to_string(r.nodes);
-    out += ", \"zones\": " + std::to_string(r.zones);
-    out += ", \"fan_out\": " + std::to_string(r.fan_out);
-    out += ", \"procs\": " + std::to_string(r.procs);
-    out += ", \"events\": " + std::to_string(r.events);
-    out += ", \"sim_sec\": " + fmt(r.sim_sec);
-    out += ", \"msgs_per_node_period\": " + fmt(r.msgs_per_node_period);
-    out += ", \"wall_sec\": " + fmt(r.wall_sec);
-    out += ", \"events_per_sec\": " + fmt(r.events_per_sec);
-    out += i + 1 < results.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return 2;
-    }
-  }
-
+  const bench::GridOptions opts = bench::parse_grid_options(argc, argv);
   std::vector<CaseSpec> grid = {{8, 8, 10}, {16, 16, 10}};
-  if (!quick) {
+  if (!opts.quick) {
     grid.push_back({32, 32, 10});
     grid.push_back({20, 100, 10});
   }
-  if (full) {
+  if (opts.full) {
     grid.push_back({100, 100, 10});
   }
 
-  std::vector<CaseResult> results;
+  std::vector<bench::ScaleCase> results;
   for (const CaseSpec& spec : grid) {
-    const CaseResult r = run_case(spec);
+    const bench::ScaleCase r = run_case(spec);
     std::cout << "n" << r.nodes << ": " << r.procs << " procs, " << r.events
-              << " events, sim " << fmt(r.sim_sec) << " s, wall " << fmt(r.wall_sec)
-              << " s (" << fmt(r.events_per_sec / 1e6) << " Mev/s), "
-              << fmt(r.msgs_per_node_period) << " msgs/node/period\n";
+              << " events, sim " << r.sim_sec << " s, wall " << r.wall_sec << " s ("
+              << r.events_per_sec / 1e6 << " Mev/s), " << r.msgs_per_node_period
+              << " msgs/node/period\n";
     results.push_back(r);
   }
-
-  const std::string json = render_json(results);
-  if (!json_path.empty()) {
-    std::ofstream out{json_path, std::ios::binary};
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << json;
-  } else {
-    std::cout << json;
-  }
-  return 0;
+  return bench::scale_metrics(results, std::thread::hardware_concurrency())
+      .write(opts.json_path);
 }

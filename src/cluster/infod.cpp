@@ -133,10 +133,9 @@ void InfoDaemon::gossip_tick(double load) {
     ping.cpu_load = load;
     ping.sender_version = self_version_;
     ping.digest = digest;
-    ping.format = cache ? net::kGossipFormatCache : net::kGossipFormatLoad;
     ping.cache_pressure = pressure;
     // Framing as LoadPing (64 bytes) plus 24 wire bytes per digest entry
-    // (node id + version + load, padded); the cache format spends 8 more
+    // (node id + version + load, padded); cache digests spend 8 more
     // bytes per entry and 8 on the sender's own pressure.
     const auto wire = cache ? static_cast<sim::Bytes>(72 + 32 * digest.size())
                             : static_cast<sim::Bytes>(64 + 24 * digest.size());
@@ -311,26 +310,16 @@ void InfoDaemon::on_ack(net::NodeId src, const net::LoadAck& ack) {
 }
 
 void InfoDaemon::on_gossip_ping(net::NodeId src, const net::GossipPing& ping) {
-  // Format migration: a message stamped older than kGossipFormatCache has
-  // no pressure fields on the wire, so they deterministically read as 0.0
-  // — never a rejection, so mixed-format clusters keep converging on load
-  // and liveness (the version/heartbeat semantics are format-independent).
-  const bool has_pressure = ping.format >= net::kGossipFormatCache;
-  merge_entry(src, ping.sender_version, ping.cpu_load,
-              has_pressure ? ping.cache_pressure : 0.0);
+  merge_entry(src, ping.sender_version, ping.cpu_load, ping.cache_pressure);
   for (const net::GossipEntry& entry : ping.digest) {
-    merge_entry(entry.node, entry.version, entry.load,
-                has_pressure ? entry.cache_pressure : 0.0);
+    merge_entry(entry.node, entry.version, entry.load, entry.cache_pressure);
   }
   net::GossipAck ack;
   ack.seq = ping.seq;
   ack.ping_sent_at = ping.sent_at;
   ack.cpu_load = local_load_ ? local_load_() : 0.0;
   ack.sender_version = self_version_;
-  if (gossip_.cache_digest) {
-    ack.format = net::kGossipFormatCache;
-    ack.cache_pressure = local_cache_pressure();
-  }
+  ack.cache_pressure = gossip_.cache_digest ? local_cache_pressure() : 0.0;
   const auto wire = static_cast<sim::Bytes>(gossip_.cache_digest ? 72 : 64);
   fabric_.send(net::Message{self_, src, wire, ack});
 }
@@ -338,8 +327,7 @@ void InfoDaemon::on_gossip_ping(net::NodeId src, const net::GossipPing& ping) {
 void InfoDaemon::on_gossip_ack(net::NodeId src, const net::GossipAck& ack) {
   ++acks_received_;
   const sim::Time rtt = sim_.now() - ack.ping_sent_at;
-  merge_entry(src, ack.sender_version, ack.cpu_load,
-              ack.format >= net::kGossipFormatCache ? ack.cache_pressure : 0.0);
+  merge_entry(src, ack.sender_version, ack.cpu_load, ack.cache_pressure);
   PeerState& peer = ensure_state(src);
   if (!peer.measured) {
     peer.rtt_ewma = rtt;

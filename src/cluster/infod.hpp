@@ -53,11 +53,12 @@ struct GossipConfig {
   double digest_age_periods{8.0};
   std::uint32_t digest_cap{32};  // max relayed entries per ping (own excluded)
   std::uint64_t seed{0x9E3779B97F4A7C15ULL};
-  // Carry per-node cache pressure in digests (kGossipFormatCache framing:
-  // 32 wire bytes per entry instead of 24). Off by default so existing
-  // gossip runs stay bit-identical; the degenerate full-fan-out tick keeps
-  // gossiping (instead of falling back to LoadPing) when this is on, since
-  // LoadPing cannot carry pressure.
+  // Carry per-node cache pressure in digests (32 wire bytes per entry
+  // instead of 24). Off by default so existing gossip runs stay
+  // bit-identical; the degenerate full-fan-out tick keeps gossiping (instead
+  // of falling back to LoadPing) when this is on, since LoadPing cannot
+  // carry pressure. Set for a whole world at once (ClusterSim derives it
+  // from the memory hierarchy); a daemon without it sends 0.0 pressure.
   bool cache_digest{false};
 };
 

@@ -100,25 +100,15 @@ struct FlushAck {
 // Opaque competing traffic (load generators, other jobs).
 struct Background {};
 
-// Gossip digest wire-format versions. kGossipFormatLoad frames each digest
-// entry as 24 wire bytes (node id, version, load); kGossipFormatCache adds
-// the cache-pressure field (32 bytes per entry, plus 8 bytes for the
-// sender's own pressure on the framing). Receivers handle both: a message
-// stamped with an older format is migrated deterministically — the missing
-// pressure fields read as 0.0 — and never rejected, so mixed-version
-// clusters converge on load/liveness exactly as before (gossip_test pins
-// this).
-inline constexpr std::uint32_t kGossipFormatLoad = 1;
-inline constexpr std::uint32_t kGossipFormatCache = 2;
-
 // Epidemic load dissemination (the scalable InfoDaemon mode). One entry of
 // the piggybacked digest: the origin node's load stamped with the origin's
 // monotone version counter. The version doubles as the heartbeat — a
 // receiver that sees it advance knows the origin was alive when it bumped
-// it, no matter how many hops the entry took. `cache_pressure` is carried
-// on the wire only under kGossipFormatCache framing; receivers must gate
-// on the message's format stamp, not on the field (which always exists in
-// memory).
+// it, no matter how many hops the entry took. `cache_pressure` is on the
+// wire only in worlds that gossip cache digests (GossipConfig::cache_digest,
+// set for the whole world by ClusterSim), where an entry takes 32 wire bytes
+// instead of 24; elsewhere every sender leaves it, and the sender's own
+// pressure on the ping and ack, at 0.0.
 struct GossipEntry {
   NodeId node{kInvalidNode};
   std::uint64_t version{0};
@@ -135,16 +125,14 @@ struct GossipPing {
   double cpu_load{0.0};
   std::uint64_t sender_version{0};
   std::vector<GossipEntry> digest;
-  std::uint32_t format{kGossipFormatLoad};
-  double cache_pressure{0.0};  // sender's own (format >= kGossipFormatCache)
+  double cache_pressure{0.0};  // sender's own
 };
 struct GossipAck {
   std::uint64_t seq{0};
   sim::Time ping_sent_at{};
   double cpu_load{0.0};
   std::uint64_t sender_version{0};
-  std::uint32_t format{kGossipFormatLoad};
-  double cache_pressure{0.0};  // sender's own (format >= kGossipFormatCache)
+  double cache_pressure{0.0};  // sender's own
 };
 
 // Gossip payloads are appended after Background so the pre-gossip

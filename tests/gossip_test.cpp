@@ -177,30 +177,8 @@ TEST(Gossip, FullFanOutIsBitIdenticalToLegacyMesh) {
 }
 
 // ---------------------------------------------------------------------------
-// Digest wire-format versioning (kGossipFormatLoad -> kGossipFormatCache)
+// Cache-pressure digests (GossipConfig::cache_digest)
 // ---------------------------------------------------------------------------
-
-TEST(GossipVersioning, LoadFormatPingIsMigratedWithZeroPressure) {
-  GossipMesh mesh{/*fan_out=*/2};
-  net::GossipPing ping;
-  ping.seq = 1;
-  ping.sent_at = mesh.simulator.now();
-  ping.cpu_load = 0.5;
-  ping.sender_version = 7;
-  ping.format = net::kGossipFormatLoad;
-  // A stray pressure value on an old-format message must be ignored: the
-  // field exists in memory, but the 24-byte entry framing never put it on
-  // the wire, so receivers gate on the format stamp.
-  ping.cache_pressure = 0.7;
-  ping.digest.push_back({/*node=*/2, /*version=*/3, /*load=*/0.9, /*cache_pressure=*/0.8});
-  mesh.infods[0]->on_gossip_ping(1, ping);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_load(1), 0.5);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_load(2), 0.9);
-  EXPECT_EQ(mesh.infods[0]->peer_version(1), 7u);
-  EXPECT_EQ(mesh.infods[0]->peer_version(2), 3u);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_cache_pressure(1), 0.0);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_cache_pressure(2), 0.0);
-}
 
 TEST(GossipVersioning, CacheFormatPingCarriesPressure) {
   GossipMesh mesh{/*fan_out=*/2};
@@ -209,7 +187,6 @@ TEST(GossipVersioning, CacheFormatPingCarriesPressure) {
   ping.sent_at = mesh.simulator.now();
   ping.cpu_load = 0.5;
   ping.sender_version = 7;
-  ping.format = net::kGossipFormatCache;
   ping.cache_pressure = 0.7;
   ping.digest.push_back({/*node=*/2, /*version=*/3, /*load=*/0.9, /*cache_pressure=*/0.8});
   mesh.infods[0]->on_gossip_ping(1, ping);
@@ -218,29 +195,10 @@ TEST(GossipVersioning, CacheFormatPingCarriesPressure) {
   EXPECT_DOUBLE_EQ(mesh.infods[0]->known_cache_pressure(2), 0.8);
 }
 
-TEST(GossipVersioning, AckFormatIsGatedTheSameWay) {
-  GossipMesh mesh{/*fan_out=*/2};
-  net::GossipAck ack;
-  ack.seq = 1;
-  ack.ping_sent_at = mesh.simulator.now();
-  ack.cpu_load = 0.4;
-  ack.sender_version = 5;
-  ack.format = net::kGossipFormatLoad;
-  ack.cache_pressure = 0.9;
-  mesh.infods[0]->on_gossip_ack(3, ack);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_load(3), 0.4);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_cache_pressure(3), 0.0);
-  // The same peer upgraded: a newer-version cache-format ack takes effect.
-  ack.sender_version = 6;
-  ack.format = net::kGossipFormatCache;
-  mesh.infods[0]->on_gossip_ack(3, ack);
-  EXPECT_DOUBLE_EQ(mesh.infods[0]->known_cache_pressure(3), 0.9);
-}
-
 TEST(GossipVersioning, MixedFormatClusterStillConvergesOnLoadAndLiveness) {
-  // Half the daemons speak the cache format, half the old load format; the
-  // version/heartbeat semantics are format-independent, so load and
-  // liveness converge exactly as in a single-format mesh.
+  // Half the daemons gossip cache digests, half do not; the
+  // version/heartbeat semantics do not depend on the digest, so load and
+  // liveness converge exactly as in a uniform mesh.
   GossipMesh mesh{/*fan_out=*/3};
   for (net::NodeId id = 0; id < GossipMesh::kNodes; ++id) {
     cluster::GossipConfig config = mesh.infods[id]->gossip();
@@ -255,8 +213,8 @@ TEST(GossipVersioning, MixedFormatClusterStillConvergesOnLoadAndLiveness) {
     EXPECT_DOUBLE_EQ(mesh.infods[id]->known_load(0), 0.75) << "daemon " << id;
     EXPECT_EQ(mesh.infods[id]->peer_health(0), cluster::PeerHealth::kAlive)
         << "daemon " << id;
-    // Pressure for node 0 is either still unheard (every relay on the path
-    // spoke the old format) or exactly node 0's value — never garbage.
+    // Pressure for node 0 is either still unheard or exactly node 0's
+    // value — never garbage.
     const double pressure = mesh.infods[id]->known_cache_pressure(0);
     EXPECT_TRUE(pressure == 0.0 || pressure == 0.6) << "daemon " << id << ": " << pressure;
   }

@@ -1,12 +1,19 @@
-// Tests of the perf_gate comparator: JSON parsing, normalization of raw
-// google-benchmark output, the committed-schema round trip, and the gate
-// rules (SBO zero-alloc invariant, cancel-heavy speedup floor, baseline
-// trajectory tolerance).
+// Tests of perf_gate over its rule kinds — limits, one-sided trajectories,
+// two-sided bands, info, and the case-set rules — driven through the same
+// path a committed baseline takes: a bench's results go through its rules
+// in bench/perf_metrics.hpp, render with the MetricsDoc writer, and come
+// back through perf_gate's parser and loader.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <map>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "bench/perf_metrics.hpp"
 #include "perf_gate/gate.hpp"
 
 namespace ampom::perfgate {
@@ -18,6 +25,45 @@ JsonValue parse_ok(const std::string& text) {
   EXPECT_TRUE(doc.has_value()) << error;
   return doc ? *doc : JsonValue{};
 }
+
+Document load(const bench::MetricsDoc& doc) {
+  std::string error;
+  auto loaded = load_document(parse_ok(doc.render()), &error);
+  EXPECT_TRUE(loaded.has_value()) << error;
+  return loaded ? *loaded : Document{};
+}
+
+std::string load_error(const std::string& text) {
+  std::string error;
+  EXPECT_FALSE(load_document(parse_ok(text), &error).has_value()) << text;
+  return error;
+}
+
+// True when one failure mentions every part.
+bool fails_with(const GateResult& result, std::initializer_list<const char*> parts) {
+  for (const std::string& failure : result.failures) {
+    bool all = true;
+    for (const char* part : parts) {
+      all = all && failure.find(part) != std::string::npos;
+    }
+    if (all) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string first_failure(const GateResult& result) {
+  return result.failures.empty() ? "" : result.failures.front();
+}
+
+void erase_prefix(Document& doc, const std::string& prefix) {
+  std::erase_if(doc.metrics, [&prefix](const auto& metric) {
+    return metric.first.rfind(prefix, 0) == 0;
+  });
+}
+
+// --- the JSON parser --------------------------------------------------------
 
 TEST(PerfGateJson, ParsesScalarsArraysAndNestedObjects) {
   const JsonValue doc = parse_ok(
@@ -31,6 +77,7 @@ TEST(PerfGateJson, ParsesScalarsArraysAndNestedObjects) {
   ASSERT_EQ(doc.find("list")->array.size(), 3u);
   EXPECT_DOUBLE_EQ(doc.find("list")->array[2].number, 3.0);
   EXPECT_EQ(doc.find("inner")->find("k")->string, "v\n\"q\"");
+  EXPECT_EQ(doc.find("list")->line, 2);
   EXPECT_EQ(doc.find("absent"), nullptr);
 }
 
@@ -39,589 +86,520 @@ TEST(PerfGateJson, RejectsMalformedInput) {
                           "{\"a\": nope}", ""}) {
     std::string error;
     EXPECT_FALSE(parse_json(bad, &error).has_value()) << bad;
-    EXPECT_FALSE(error.empty()) << bad;
+    EXPECT_EQ(error.rfind("line 1, column ", 0), 0u) << bad << ": " << error;
   }
 }
 
-// A raw google-benchmark document with the six profile benches (extra
-// benches and fields present, as in real output).
-std::string raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
-  auto bench = [](const std::string& name, double rate, double allocs, double peak) {
-    return R"({"name": ")" + name + R"(", "run_type": "iteration",
-               "real_time": 1.0, "events_per_sec": )" + std::to_string(rate) +
-           R"(, "allocs_per_op": )" + std::to_string(allocs) +
-           R"(, "peak_queued": )" + std::to_string(peak) + "}";
+TEST(PerfGateJson, MalformedBaselineNamesTheLine) {
+  // A hand-edited baseline missing the comma after line 5: the parser
+  // stops where the next member starts.
+  const std::string broken = R"({
+  "schema": 2,
+  "tool": "scale_sweep",
+  "metrics": {
+    "n64.events": {"value": 1005370, "better": "both"}
+    "n64.sim_sec": {"value": 9.54732, "better": "both"}
+  }
+})";
+  std::string error;
+  EXPECT_FALSE(parse_json(broken, &error).has_value());
+  EXPECT_EQ(error.rfind("line 6, column 5: ", 0), 0u) << error;
+
+  // Well-formed JSON, but a metric without its rule: the loader names the
+  // metric's line.
+  const std::string no_rule = R"({
+  "schema": 2, "tool": "scale_sweep", "host_cpus": 1,
+  "metrics": {
+    "n64.events": {"value": 1005370}
+  }
+})";
+  const std::string load = load_error(no_rule);
+  EXPECT_EQ(load.rfind("line 4: ", 0), 0u) << load;
+  EXPECT_NE(load.find("n64.events"), std::string::npos) << load;
+}
+
+// --- micro_simcore: the engine profiles -------------------------------------
+
+// The six profile benches' counters as the reporter collects them (an
+// unrelated bench rides along, as in a real run).
+bench::BenchmarkCounters raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
+  const auto engine = [](double rate, double allocs, double peak) {
+    return std::map<std::string, double>{
+        {"events_per_sec", rate}, {"allocs_per_op", allocs}, {"peak_queued", peak}};
   };
-  return R"({"context": {"num_cpus": 8}, "benchmarks": [)" +
-         bench("BM_ScheduleHeavy_Indexed", 11.0e6, 0.0, 65536) + "," +
-         bench("BM_ScheduleHeavy_Lazy", 7.0e6, 1.0, 65536) + "," +
-         bench("BM_CancelHeavy_Indexed", indexed_cancel_rate, indexed_cancel_allocs, 1) + "," +
-         bench("BM_CancelHeavy_Lazy", 15.0e6, 0.75, 1000) + "," +
-         bench("BM_Mixed_Indexed", 36.0e6, 0.0, 2048) + "," +
-         bench("BM_Mixed_Lazy", 12.0e6, 1.0, 4096) + "," +
-         bench("BM_ScheduleAndRun/1000", 1.0e6, 0.0, 0) + "]}";
+  return {{"BM_ScheduleHeavy_Indexed", engine(11.0e6, 0.0, 65536)},
+          {"BM_ScheduleHeavy_Lazy", engine(7.0e6, 1.0, 65536)},
+          {"BM_CancelHeavy_Indexed", engine(indexed_cancel_rate, indexed_cancel_allocs, 1)},
+          {"BM_CancelHeavy_Lazy", engine(15.0e6, 0.75, 1000)},
+          {"BM_Mixed_Indexed", engine(36.0e6, 0.0, 2048)},
+          {"BM_Mixed_Lazy", engine(12.0e6, 1.0, 4096)},
+          {"BM_ScheduleAndRun/1000", {{"items_per_second", 1.0e6}}}};
+}
+
+Document simcore(const bench::BenchmarkCounters& raw) {
+  std::string error;
+  const auto doc = bench::simcore_metrics(raw, 8, error);
+  EXPECT_TRUE(doc.has_value()) << error;
+  return doc ? load(*doc) : Document{};
+}
+
+Document simcore(double cancel_rate, double cancel_allocs) {
+  return simcore(raw_run(cancel_rate, cancel_allocs));
 }
 
 TEST(PerfGateSummary, NormalizesRawBenchmarkOutput) {
-  std::string error;
-  const auto summary = summarize_raw(parse_ok(raw_run(73.0e6, 0.0)), &error);
-  ASSERT_TRUE(summary.has_value()) << error;
-  ASSERT_EQ(summary->profiles.size(), 3u);
-  const EngineProfile& cancel = summary->profiles.at("cancel_heavy");
-  EXPECT_DOUBLE_EQ(cancel.indexed.events_per_sec, 73.0e6);
-  EXPECT_DOUBLE_EQ(cancel.lazy.peak_queued, 1000.0);
-  EXPECT_NEAR(cancel.speedup_vs_lazy, 73.0 / 15.0, 1e-9);
-  EXPECT_NEAR(summary->profiles.at("mixed").speedup_vs_lazy, 3.0, 1e-9);
+  const Document doc = simcore(73.0e6, 0.0);
+  EXPECT_EQ(doc.tool, "micro_simcore");
+  EXPECT_EQ(doc.metrics.size(), 3u * 7u);  // three profiles, seven metrics each
+  const Metric& speedup = doc.metrics.at("cancel_heavy.speedup_vs_lazy");
+  EXPECT_DOUBLE_EQ(speedup.value, 73.0 / 15.0);
+  EXPECT_EQ(speedup.better, Better::kHigher);
+  EXPECT_EQ(speedup.limit, 1.5);
+  EXPECT_FALSE(doc.metrics.at("mixed.speedup_vs_lazy").limit.has_value());
+  EXPECT_DOUBLE_EQ(doc.metrics.at("mixed.speedup_vs_lazy").value, 3.0);
+  EXPECT_EQ(doc.metrics.at("cancel_heavy.lazy.peak_queued").better, Better::kInfo);
+  EXPECT_EQ(doc.metrics.at("cancel_heavy.indexed.allocs_per_op").limit, 0.0);
 }
 
 TEST(PerfGateSummary, MissingBenchmarkOrCounterIsAnErrorNotAPass) {
   std::string error;
-  EXPECT_FALSE(summarize_raw(parse_ok(R"({"benchmarks": []})"), &error).has_value());
+  EXPECT_FALSE(bench::simcore_metrics({}, 8, error).has_value());
   EXPECT_NE(error.find("BM_ScheduleHeavy_Indexed"), std::string::npos) << error;
 
   // Drop one counter from one bench: still an error.
-  std::string raw = raw_run(73.0e6, 0.0);
-  const auto pos = raw.find("\"peak_queued\"");
-  ASSERT_NE(pos, std::string::npos);
-  raw.replace(pos, 13, "\"renamed\"");
-  EXPECT_FALSE(summarize_raw(parse_ok(raw), &error).has_value());
+  bench::BenchmarkCounters raw = raw_run(73.0e6, 0.0);
+  raw.at("BM_Mixed_Lazy").erase("peak_queued");
+  EXPECT_FALSE(bench::simcore_metrics(raw, 8, error).has_value());
   EXPECT_NE(error.find("peak_queued"), std::string::npos) << error;
 }
 
 TEST(PerfGateSummary, RenderedSummaryRoundTripsThroughLoad) {
   std::string error;
-  const auto summary = summarize_raw(parse_ok(raw_run(73.0e6, 0.0)), &error);
-  ASSERT_TRUE(summary.has_value()) << error;
-  const std::string rendered = render_summary(*summary);
-  const auto reloaded = load_summary(parse_ok(rendered), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  ASSERT_EQ(reloaded->profiles.size(), 3u);
-  EXPECT_NEAR(reloaded->profiles.at("cancel_heavy").speedup_vs_lazy, 73.0 / 15.0, 1e-4);
-  EXPECT_DOUBLE_EQ(reloaded->profiles.at("mixed").indexed.allocs_per_op, 0.0);
-  // Rendering is deterministic: same summary, same bytes.
-  EXPECT_EQ(rendered, render_summary(*summary));
-}
-
-Summary summary_of(double cancel_rate, double cancel_allocs) {
-  std::string error;
-  const auto summary = summarize_raw(parse_ok(raw_run(cancel_rate, cancel_allocs)), &error);
-  EXPECT_TRUE(summary.has_value()) << error;
-  return summary ? *summary : Summary{};
+  const auto doc = bench::simcore_metrics(raw_run(73.0e6, 0.0), 8, error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const Document reloaded = load(*doc);
+  EXPECT_EQ(reloaded.host_cpus, 8.0);
+  // Exact, not approximate: values render in their shortest round-trip form.
+  EXPECT_EQ(reloaded.metrics.at("cancel_heavy.speedup_vs_lazy").value, 73.0 / 15.0);
+  EXPECT_EQ(reloaded.metrics.at("mixed.indexed.allocs_per_op").value, 0.0);
+  // Rendering is deterministic: same results, same bytes.
+  EXPECT_EQ(doc->render(), bench::simcore_metrics(raw_run(73.0e6, 0.0), 8, error)->render());
 }
 
 TEST(PerfGateGate, PassesAHealthyRunWithoutABaseline) {
-  const Summary current = summary_of(73.0e6, 0.0);
-  const GateResult result = gate(current, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures.front());
+  const GateResult result = gate(simcore(73.0e6, 0.0), nullptr, false);
+  EXPECT_TRUE(result.pass) << first_failure(result);
   EXPECT_TRUE(result.failures.empty());
-  EXPECT_EQ(result.notes.size(), 3u);  // one throughput line per profile
 }
 
 TEST(PerfGateGate, AnySingleIndexedAllocationFailsTheSboInvariant) {
-  const Summary current = summary_of(73.0e6, 1e-6);  // one alloc per million ops
-  const GateResult result = gate(current, nullptr, GateOptions{});
+  // One allocation per million ops breaks the exact-zero limit.
+  const GateResult result = gate(simcore(73.0e6, 1e-6), nullptr, false);
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("allocs_per_op"), std::string::npos);
+  EXPECT_TRUE(fails_with(result, {"cancel_heavy.indexed.allocs_per_op", "limit (<= 0)"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateGate, CancelHeavySpeedupBelowTheFloorFails) {
-  const Summary current = summary_of(20.0e6, 0.0);  // 1.33x < the 1.5x floor
-  const GateResult result = gate(current, nullptr, GateOptions{});
+  const GateResult result = gate(simcore(20.0e6, 0.0), nullptr, false);  // 1.33x
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("1.5x floor"), std::string::npos);
+  EXPECT_TRUE(fails_with(result, {"cancel_heavy.speedup_vs_lazy", "limit (>= 1.5)"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateGate, BaselineTrajectoryIsEnforcedWithTolerance) {
-  const Summary baseline = summary_of(73.0e6, 0.0);  // speedup 4.87x
-  // 30% tolerance: floor is 3.41x. A run at 3.5x passes, a run at 3.0x fails.
-  EXPECT_TRUE(gate(summary_of(3.5 * 15.0e6, 0.0), &baseline, GateOptions{}).pass);
-  const GateResult slow = gate(summary_of(3.0 * 15.0e6, 0.0), &baseline, GateOptions{});
+  const Document baseline = simcore(73.0e6, 0.0);  // speedup 4.87x
+  // 30% tolerance: the floor is 3.41x. A run at 3.5x passes, 3.0x fails.
+  EXPECT_TRUE(gate(simcore(3.5 * 15.0e6, 0.0), &baseline, false).pass);
+  const GateResult slow = gate(simcore(3.0 * 15.0e6, 0.0), &baseline, false);
   EXPECT_FALSE(slow.pass);
   ASSERT_EQ(slow.failures.size(), 1u);
-  EXPECT_NE(slow.failures[0].find("regressed"), std::string::npos);
-  // A tighter tolerance flips the 3.5x run to a failure too.
-  EXPECT_FALSE(gate(summary_of(3.5 * 15.0e6, 0.0), &baseline,
-                    GateOptions{.tolerance = 0.05, .min_speedup = 1.5})
-                   .pass);
+  EXPECT_TRUE(fails_with(slow, {"cancel_heavy.speedup_vs_lazy", "regressed"}))
+      << first_failure(slow);
 }
 
 TEST(PerfGateGate, PeakQueuedGrowthPastBaselineFails) {
-  const Summary baseline = summary_of(73.0e6, 0.0);
-  Summary current = summary_of(73.0e6, 0.0);
+  const Document baseline = simcore(73.0e6, 0.0);
   // A leak-shaped regression: cancelled entries pile up again.
-  current.profiles.at("cancel_heavy").indexed.peak_queued = 500.0;
-  const GateResult result = gate(current, &baseline, GateOptions{});
+  bench::BenchmarkCounters raw = raw_run(73.0e6, 0.0);
+  raw.at("BM_CancelHeavy_Indexed").at("peak_queued") = 500.0;
+  const GateResult result = gate(simcore(raw), &baseline, false);
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("peak_queued"), std::string::npos);
+  EXPECT_TRUE(fails_with(result, {"cancel_heavy.indexed.peak_queued", "regressed"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateGate, ProfileMissingFromCurrentRunFails) {
-  const Summary baseline = summary_of(73.0e6, 0.0);
-  Summary current = summary_of(73.0e6, 0.0);
-  current.profiles.erase("mixed");
-  const GateResult result = gate(current, &baseline, GateOptions{});
+  const Document baseline = simcore(73.0e6, 0.0);
+  Document current = simcore(73.0e6, 0.0);
+  erase_prefix(current, "mixed.");
+  const GateResult result = gate(current, &baseline, false);
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("missing from this run"), std::string::npos);
+  EXPECT_TRUE(fails_with(result, {"'mixed'", "was not run"})) << first_failure(result);
 }
 
 TEST(PerfGateLoad, RejectsDocumentsWithoutSchemaOrProfiles) {
-  std::string error;
-  EXPECT_FALSE(load_summary(parse_ok(R"({"profiles": {}})"), &error).has_value());
-  EXPECT_NE(error.find("schema"), std::string::npos);
-  EXPECT_FALSE(load_summary(parse_ok(R"({"schema": 1})"), &error).has_value());
-  EXPECT_NE(error.find("profiles"), std::string::npos);
+  // The retired schema-1 layout, and documents missing their metrics.
+  EXPECT_NE(load_error(R"({"schema": 1, "tool": "perf_gate", "profiles": {}})").find("schema"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"tool": "micro_simcore", "host_cpus": 1, "metrics": {}})")
+                .find("schema"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "micro_simcore", "host_cpus": 1})")
+                .find("metrics"),
+            std::string::npos);
 }
 
-// --- scale-sweep mode -------------------------------------------------------
+// --- scale_sweep ------------------------------------------------------------
 
-ScaleCase scale_case(double nodes, double msgs, double events, double wall) {
-  ScaleCase c;
+bench::ScaleCase scale_case(std::uint32_t nodes, double msgs, std::uint64_t events,
+                            double wall) {
+  bench::ScaleCase c;
   c.nodes = nodes;
-  c.zones = nodes / 8.0;
-  c.fan_out = 3.0;
-  c.procs = nodes * 10.0;
+  c.zones = nodes / 8;
+  c.fan_out = 3;
+  c.procs = nodes * 10ULL;
   c.events = events;
   c.sim_sec = 10.0;
   c.msgs_per_node_period = msgs;
   c.wall_sec = wall;
-  c.events_per_sec = wall > 0.0 ? events / wall : 0.0;
+  c.events_per_sec = static_cast<double>(events) / wall;
   return c;
 }
 
-ScaleSummary healthy_scale() {
-  ScaleSummary s;
-  s.cases.emplace("n64", scale_case(64, 5.97, 1.0e6, 0.5));
-  s.cases.emplace("n256", scale_case(256, 5.91, 4.0e6, 3.6));
-  s.cases.emplace("n1024", scale_case(1024, 6.00, 16.0e6, 19.0));
-  return s;
+std::vector<bench::ScaleCase> healthy_scale() {
+  return {scale_case(64, 5.97, 1'000'000, 0.5), scale_case(256, 5.91, 4'000'000, 3.6),
+          scale_case(1024, 6.00, 16'000'000, 19.0)};
+}
+
+Document scale(const std::vector<bench::ScaleCase>& grid) {
+  return load(bench::scale_metrics(grid, 8));
 }
 
 TEST(PerfGateScale, RoundTripsAndPassesWithoutBaseline) {
-  const ScaleSummary summary = healthy_scale();
-  std::string error;
-  const auto reloaded = load_scale_summary(parse_ok(render_scale_summary(summary)), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  EXPECT_EQ(reloaded->cases.size(), 3u);
-  EXPECT_DOUBLE_EQ(reloaded->cases.at("n1024").msgs_per_node_period, 6.00);
-
-  const GateResult result = gate_scale(*reloaded, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Document doc = scale(healthy_scale());
+  EXPECT_EQ(doc.tool, "scale_sweep");
+  EXPECT_EQ(doc.metrics.at("n1024.msgs_per_node_period").value, 6.00);
+  EXPECT_EQ(doc.metrics.at("n1024.msgs_per_node_period").limit, 9.0);  // 3 x fan_out
+  EXPECT_EQ(doc.metrics.at("n1024.wall_ratio").value, 19.0 / 0.5);
+  const GateResult result = gate(doc, nullptr, false);
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateScale, PerNodeTrafficAboveFanOutCeilingFails) {
-  ScaleSummary current = healthy_scale();
   // An all-pairs regression: traffic scales with cluster size again.
-  current.cases.at("n1024").msgs_per_node_period = 2.0 * 1023.0;
-  const GateResult result = gate_scale(current, nullptr, GateOptions{});
+  std::vector<bench::ScaleCase> grid = healthy_scale();
+  grid[2].msgs_per_node_period = 2.0 * 1023.0;
+  const GateResult result = gate(scale(grid), nullptr, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("O(fan_out) ceiling") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"n1024.msgs_per_node_period", "limit (<= 9)"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateScale, TrafficTrendingWithClusterSizeFails) {
-  ScaleSummary current = healthy_scale();
-  // Below the 3x-fan_out ceiling but clearly growing with n: the
-  // size-independence spread check must object.
-  current.cases.at("n64").msgs_per_node_period = 4.0;
-  current.cases.at("n256").msgs_per_node_period = 6.0;
-  current.cases.at("n1024").msgs_per_node_period = 8.5;
-  const GateResult result = gate_scale(current, nullptr, GateOptions{});
+  // Below the 3x-fan_out ceiling but clearly growing with n: the spread
+  // across the grid breaks its limit.
+  std::vector<bench::ScaleCase> grid = healthy_scale();
+  grid[0].msgs_per_node_period = 4.0;
+  grid[1].msgs_per_node_period = 6.0;
+  grid[2].msgs_per_node_period = 8.5;
+  const GateResult result = gate(scale(grid), nullptr, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("depends on cluster size") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_TRUE(fails_with(result, {"grid.msgs_per_node_period_spread", "limit (<= 1.3)"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateScale, BaselineOnlyCaseFailsByDefaultNamingTheCase) {
   // A case silently dropped from the run must not gate green: nothing
   // compared it. The failure names the case so the fix is obvious.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  current.cases.erase("n1024");
-  const GateResult result = gate_scale(current, &baseline, GateOptions{});
+  const Document baseline = scale(healthy_scale());
+  std::vector<bench::ScaleCase> grid = healthy_scale();
+  grid.pop_back();
+  const GateResult result = gate(scale(grid), &baseline, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("n1024") != std::string::npos &&
-                      f.find("was not run") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"'n1024'", "was not run"})) << first_failure(result);
 }
 
 TEST(PerfGateScale, AllowCaseSubsetWaivesBaselineOnlyMisses) {
-  // The committed baseline carries the --full grid; a CI --quick run with a
+  // The committed baseline carries the full grid; a quick run covering a
   // subset of cases gates cleanly only under the explicit waiver.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  current.cases.erase("n1024");
-  GateOptions options;
-  options.allow_case_subset = true;
-  const GateResult result = gate_scale(current, &baseline, options);
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Document baseline = scale(healthy_scale());
+  std::vector<bench::ScaleCase> grid = healthy_scale();
+  grid.pop_back();
+  const GateResult result = gate(scale(grid), &baseline, true);
+  EXPECT_TRUE(result.pass) << first_failure(result);
+  ASSERT_EQ(result.notes.size(), 1u);
+  EXPECT_NE(result.notes[0].find("n1024"), std::string::npos);
 }
 
 TEST(PerfGateScale, CurrentOnlyCaseFailsEvenWithTheSubsetWaiver) {
   // The inverse mismatch — a case the baseline has never seen — is never
   // waivable: until the baseline is refreshed, nothing gates that case.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  ScaleCase extra = current.cases.at("n1024");
-  extra.nodes = 4096.0;
-  current.cases.emplace("n4096", extra);
-  GateOptions options;
-  options.allow_case_subset = true;
-  const GateResult result = gate_scale(current, &baseline, options);
+  const Document baseline = scale(healthy_scale());
+  std::vector<bench::ScaleCase> grid = healthy_scale();
+  grid.push_back(scale_case(4096, 6.0, 64'000'000, 80.0));
+  const GateResult result = gate(scale(grid), &baseline, true);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("n4096") != std::string::npos &&
-                      f.find("missing from the baseline") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"'n4096'", "missing from the baseline"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateScale, EventDriftPastToleranceFails) {
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  current.cases.at("n256").events = baseline.cases.at("n256").events * 1.5;
-  const GateResult result = gate_scale(current, &baseline, GateOptions{});
-  EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("outside baseline") != std::string::npos;
+  // events is two-sided: too many and too few both leave the band.
+  const Document baseline = scale(healthy_scale());
+  for (const double factor : {1.5, 0.5}) {
+    std::vector<bench::ScaleCase> grid = healthy_scale();
+    grid[1].events = static_cast<std::uint64_t>(static_cast<double>(grid[1].events) * factor);
+    const GateResult result = gate(scale(grid), &baseline, false);
+    EXPECT_FALSE(result.pass) << factor;
+    EXPECT_TRUE(fails_with(result, {"n256.events", "outside"})) << first_failure(result);
   }
-  EXPECT_TRUE(found);
 }
 
 TEST(PerfGateScale, WallTimeTrajectoryRegressionFails) {
   // Same machine speed at the anchor, but the big case takes 3x the
   // baseline's relative wall time: the scaling shape regressed even though
   // every absolute number alone could be blamed on a slower machine.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  current.cases.at("n1024").wall_sec = baseline.cases.at("n1024").wall_sec * 3.0;
-  const GateResult result = gate_scale(current, &baseline, GateOptions{});
+  // wall_sec itself is info, so the ratio is the only failure.
+  const Document baseline = scale(healthy_scale());
+  std::vector<bench::ScaleCase> grid = healthy_scale();
+  grid[2].wall_sec *= 3.0;
+  const GateResult result = gate(scale(grid), &baseline, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("scaling shape regressed") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_TRUE(fails_with(result, {"n1024.wall_ratio", "regressed"})) << first_failure(result);
 }
 
 TEST(PerfGateScale, RejectsNonScaleDocuments) {
-  std::string error;
-  EXPECT_FALSE(load_scale_summary(parse_ok(R"({"schema": 1, "tool": "perf_gate"})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("scale_sweep"), std::string::npos);
-  EXPECT_FALSE(load_scale_summary(
-                   parse_ok(R"({"schema": 1, "tool": "scale_sweep", "cases": {}})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("cases"), std::string::npos);
+  const Document baseline = simcore(73.0e6, 0.0);
+  const GateResult result = gate(scale(healthy_scale()), &baseline, false);
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(fails_with(result, {"micro_simcore", "scale_sweep"})) << first_failure(result);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "scale_sweep", "host_cpus": 1,
+                           "metrics": {}})")
+                .find("metrics"),
+            std::string::npos);
 }
 
-// --- parallel-sweep mode ----------------------------------------------------
+// --- parallel_sweep ---------------------------------------------------------
 
-ParallelCase parallel_case(double nodes, double events, double w1_wall,
-                           double w4_wall) {
-  ParallelCase c;
+bench::ParallelCase parallel_case(std::uint32_t nodes, std::uint64_t events, double w1_wall,
+                                  double w4_wall) {
+  bench::ParallelCase c;
   c.nodes = nodes;
-  c.zones = nodes / 100.0;
-  c.procs = nodes * 10.0;
-  const auto run = [&](double workers, double wall) {
-    ParallelRun r;
-    r.workers = workers;
-    r.events = events;
-    r.sim_sec = 10.0;
-    r.wall_sec = wall;
-    r.events_per_sec = wall > 0.0 ? events / wall : 0.0;
-    return r;
-  };
-  c.runs.emplace("w1", run(1, w1_wall));
-  c.runs.emplace("w4", run(4, w4_wall));
+  c.zones = nodes / 100;
+  c.procs = nodes * 10ULL;
+  for (const auto& [workers, wall] : {std::pair{1, w1_wall}, std::pair{4, w4_wall}}) {
+    c.runs.push_back(bench::WorkerRun{static_cast<std::size_t>(workers), events, 10.0, wall,
+                                      static_cast<double>(events) / wall});
+  }
   return c;
 }
 
-// An 8-CPU recording: the big case clears the 2x floor, the small one is
-// exempt from it (< 2000 nodes) and establishes the trajectory anchor.
-ParallelSummary healthy_parallel() {
-  ParallelSummary s;
-  s.host_cpus = 8.0;
-  s.cases.emplace("n256", parallel_case(256, 4013613.0, 4.0, 2.2));
-  s.cases.emplace("n2000", parallel_case(2000, 3.1e7, 40.0, 15.0));
-  return s;
+// The big case clears the 2x floor on an 8-CPU host; the small one is
+// exempt from it (< 2000 nodes) and anchors the trajectory.
+std::vector<bench::ParallelCase> healthy_parallel() {
+  return {parallel_case(256, 4013613, 4.0, 2.2), parallel_case(2000, 31'000'000, 40.0, 15.0)};
+}
+
+Document parallel(const std::vector<bench::ParallelCase>& grid, unsigned host_cpus = 8) {
+  return load(bench::parallel_metrics(grid, host_cpus));
 }
 
 TEST(PerfGateParallel, RoundTripsExactCountersAndPassesWithoutBaseline) {
-  const ParallelSummary summary = healthy_parallel();
-  std::string error;
-  const auto reloaded =
-      load_parallel_summary(parse_ok(render_parallel_summary(summary)), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  EXPECT_DOUBLE_EQ(reloaded->host_cpus, 8.0);
-  // Exact, not approximate: a "%.6g" render would round the event counter
-  // and turn the next bit-identity check into noise.
-  EXPECT_EQ(reloaded->cases.at("n256").runs.at("w4").events, 4013613.0);
-
-  const GateResult result = gate_parallel(*reloaded, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Document doc = parallel(healthy_parallel());
+  EXPECT_EQ(doc.host_cpus, 8.0);
+  // Exact: a rounded event counter would turn the bit-identity check into
+  // noise.
+  EXPECT_EQ(doc.metrics.at("n256.w4.events").value, 4013613.0);
+  EXPECT_EQ(doc.metrics.at("n2000.speedup").limit, 2.0);
+  const GateResult result = gate(doc, nullptr, false);
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateParallel, AnyScheduleDriftAcrossWorkerCountsFails) {
-  ParallelSummary current = healthy_parallel();
-  current.cases.at("n2000").runs.at("w4").events += 1.0;
-  GateResult result = gate_parallel(current, nullptr, GateOptions{});
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  grid[1].runs[1].events += 1;
+  GateResult result = gate(parallel(grid), nullptr, false);
   EXPECT_FALSE(result.pass);
-  ASSERT_FALSE(result.failures.empty());
-  EXPECT_NE(result.failures[0].find("depends on the worker count"), std::string::npos);
+  EXPECT_TRUE(fails_with(result, {"n2000.w4.events_drift_vs_w1 = 1", "limit (<= 0)"}))
+      << first_failure(result);
 
-  current = healthy_parallel();
-  current.cases.at("n256").runs.at("w4").sim_sec += 1e-9;
-  result = gate_parallel(current, nullptr, GateOptions{});
+  grid = healthy_parallel();
+  grid[0].runs[1].sim_sec += 1e-9;
+  result = gate(parallel(grid), nullptr, false);
   EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(fails_with(result, {"n256.w4.sim_sec_drift_vs_w1"})) << first_failure(result);
 }
 
 TEST(PerfGateParallel, SpeedupFloorBindsOnlyWhenTheHostHasTheCpus) {
-  ParallelSummary current = healthy_parallel();
-  current.cases.at("n2000").runs.at("w4").wall_sec = 35.0;  // 1.14x, floor is 2x
-  const GateResult failed = gate_parallel(current, nullptr, GateOptions{});
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  grid[1].runs[1].wall_sec = 35.0;  // 1.14x, the floor is 2x
+  const GateResult failed = gate(parallel(grid, 8), nullptr, false);
   EXPECT_FALSE(failed.pass);
-  bool found = false;
-  for (const std::string& f : failed.failures) {
-    found = found || f.find("below the") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(failed, {"n2000.speedup", "limit (>= 2)"})) << first_failure(failed);
 
-  // The same numbers from a 1-CPU container: no parallelism was available,
-  // so only bit-identity and trajectory gate.
-  current.host_cpus = 1.0;
-  const GateResult skipped = gate_parallel(current, nullptr, GateOptions{});
-  EXPECT_TRUE(skipped.pass) << (skipped.failures.empty() ? "" : skipped.failures[0]);
+  // The same numbers from a 1-CPU host: no parallelism was available, so
+  // the speedup is info and only bit-identity and trajectory gate.
+  const Document one_cpu = parallel(grid, 1);
+  EXPECT_EQ(one_cpu.metrics.at("n2000.speedup").better, Better::kInfo);
+  const GateResult skipped = gate(one_cpu, nullptr, false);
+  EXPECT_TRUE(skipped.pass) << first_failure(skipped);
 }
 
 TEST(PerfGateParallel, SmallCasesAreExemptFromTheSpeedupFloor) {
-  ParallelSummary current = healthy_parallel();
-  current.cases.at("n256").runs.at("w4").wall_sec = 6.0;  // slower than w1
-  const GateResult result = gate_parallel(current, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  grid[0].runs[1].wall_sec = 6.0;  // slower than w1
+  const GateResult result = gate(parallel(grid), nullptr, false);
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateParallel, BaselineOnlyCaseFailsByDefaultNamingTheCase) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
-  current.cases.erase("n2000");
-  const GateResult result = gate_parallel(current, &baseline, GateOptions{});
+  const Document baseline = parallel(healthy_parallel());
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  grid.pop_back();
+  const GateResult result = gate(parallel(grid), &baseline, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("n2000") != std::string::npos &&
-                      f.find("was not run") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"'n2000'", "was not run"})) << first_failure(result);
 }
 
 TEST(PerfGateParallel, AllowCaseSubsetWaivesBaselineOnlyMisses) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
-  current.cases.erase("n2000");
-  GateOptions options;
-  options.allow_case_subset = true;
-  const GateResult result = gate_parallel(current, &baseline, options);
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Document baseline = parallel(healthy_parallel());
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  grid.pop_back();
+  const GateResult result = gate(parallel(grid), &baseline, true);
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateParallel, BaselineEventDriftPastToleranceFails) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
-  for (auto& [name, run] : current.cases.at("n2000").runs) {
-    (void)name;
-    run.events *= 1.5;  // consistent across workers, so bit-identity holds
+  const Document baseline = parallel(healthy_parallel());
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  for (bench::WorkerRun& run : grid[1].runs) {
+    run.events = run.events * 3 / 2;  // consistent across workers: no drift
   }
-  const GateResult result = gate_parallel(current, &baseline, GateOptions{});
+  const GateResult result = gate(parallel(grid), &baseline, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("outside baseline") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"n2000.w1.events", "outside"})) << first_failure(result);
+  EXPECT_FALSE(fails_with(result, {"drift"}));
 }
 
 TEST(PerfGateParallel, WallTimeTrajectoryRegressionFails) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
   // w1 on the big case takes 3x the baseline's relative wall time while the
-  // anchor is unchanged — the serial engine's scaling shape regressed.
-  current.cases.at("n2000").runs.at("w1").wall_sec =
-      baseline.cases.at("n2000").runs.at("w1").wall_sec * 3.0;
-  current.cases.at("n2000").runs.at("w4").wall_sec =
-      baseline.cases.at("n2000").runs.at("w4").wall_sec * 3.0;
-  const GateResult result = gate_parallel(current, &baseline, GateOptions{});
-  EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("scaling shape regressed") != std::string::npos;
+  // anchor is unchanged: the serial engine's scaling shape regressed.
+  const Document baseline = parallel(healthy_parallel());
+  std::vector<bench::ParallelCase> grid = healthy_parallel();
+  for (bench::WorkerRun& run : grid[1].runs) {
+    run.wall_sec *= 3.0;
   }
-  EXPECT_TRUE(found);
+  const GateResult result = gate(parallel(grid), &baseline, false);
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(fails_with(result, {"n2000.w1.wall_ratio", "regressed"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateParallel, RejectsNonParallelAndIncompleteDocuments) {
-  std::string error;
-  EXPECT_FALSE(load_parallel_summary(
-                   parse_ok(R"({"schema": 1, "tool": "scale_sweep"})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("parallel_sweep"), std::string::npos);
-  EXPECT_FALSE(load_parallel_summary(
-                   parse_ok(R"({"schema": 1, "tool": "parallel_sweep", "cases": {}})"),
-                   &error)
-                   .has_value());
-  EXPECT_NE(error.find("host_cpus"), std::string::npos);
-  // A case whose runs lack the w1 reference cannot be gated.
-  EXPECT_FALSE(
-      load_parallel_summary(
-          parse_ok(
-              R"({"schema": 1, "tool": "parallel_sweep", "host_cpus": 4, "cases": {
-                   "n256": {"nodes": 256, "zones": 16, "procs": 2560, "runs": {
-                     "w4": {"workers": 4, "events": 10, "sim_sec": 1,
-                            "wall_sec": 1, "events_per_sec": 10}}}}})"),
-          &error)
-          .has_value());
-  EXPECT_NE(error.find("w1"), std::string::npos);
+  const Document baseline = parallel(healthy_parallel());
+  EXPECT_TRUE(fails_with(gate(scale(healthy_scale()), &baseline, true),
+                         {"parallel_sweep", "scale_sweep"}));
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "parallel_sweep", "metrics": {
+                           "n256.w1.events": {"value": 10, "better": "both"}}})")
+                .find("host_cpus"),
+            std::string::npos);
+  // A case whose w1 reference is missing cannot pass as complete.
+  Document current = parallel(healthy_parallel());
+  erase_prefix(current, "n256.w1.");
+  const GateResult result = gate(current, &baseline, false);
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(fails_with(result, {"n256.w1.events", "missing from this run"}))
+      << first_failure(result);
 }
 
-// ---------------------------------------------------------------------------
-// Cache-ablation mode (BENCH_cache.json)
-// ---------------------------------------------------------------------------
+// --- cache_ablation ---------------------------------------------------------
 
-CachePolicyRun cache_run(double migrations, double charged_ms) {
-  CachePolicyRun run;
-  run.migrations = migrations;
-  run.warmup_charged_ms = charged_ms;
-  run.warmup_paid_ms = charged_ms;
-  run.makespan_sec = 30.0;
-  return run;
+bench::PolicyRun cache_run(const char* policy, double charged_ms) {
+  return bench::PolicyRun{policy, 4, charged_ms, charged_ms, 30.0};
 }
 
-CacheSummary healthy_cache() {
-  CacheSummary summary;
-  const struct {
-    const char* name;
-    double wss_kib;
-    double load_ms;
-    double cache_ms;
-  } kCases[] = {
-      {"wss1024k", 1024.0, 40.0, 25.0},
-      {"wss4096k", 4096.0, 160.0, 95.0},
-  };
-  for (const auto& spec : kCases) {
-    CacheCase c;
-    c.wss_kib = spec.wss_kib;
-    c.nodes = 4.0;
-    c.procs = 9.0;
-    c.policies.emplace("load", cache_run(4.0, spec.load_ms));
-    c.policies.emplace("eq3", cache_run(4.0, spec.load_ms * 0.9));
-    c.policies.emplace("cache", cache_run(4.0, spec.cache_ms));
-    summary.cases.emplace(spec.name, std::move(c));
+std::vector<bench::CacheCase> healthy_cache() {
+  std::vector<bench::CacheCase> grid;
+  for (const auto& [wss_kib, load_ms, cache_ms] :
+       {std::tuple{1024, 40.0, 25.0}, std::tuple{4096, 160.0, 95.0}}) {
+    grid.push_back(bench::CacheCase{static_cast<std::uint64_t>(wss_kib), 4, 9,
+                                    {cache_run("load", load_ms), cache_run("eq3", load_ms * 0.9),
+                                     cache_run("cache", cache_ms)}});
   }
-  return summary;
+  return grid;
+}
+
+Document cache(const std::vector<bench::CacheCase>& grid) {
+  return load(bench::cache_metrics(grid, 8));
 }
 
 TEST(PerfGateCache, HealthyAblationPasses) {
-  const GateResult result = gate_cache(healthy_cache(), nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Document baseline = cache(healthy_cache());
+  const GateResult result = gate(cache(healthy_cache()), &baseline, false);
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateCache, MissingPolicyFailsNamingCaseAndPolicy) {
-  CacheSummary current = healthy_cache();
-  current.cases.at("wss4096k").policies.erase("eq3");
-  const GateResult result = gate_cache(current, nullptr, GateOptions{});
+  const Document baseline = cache(healthy_cache());
+  std::vector<bench::CacheCase> grid = healthy_cache();
+  grid[1].policies.erase(grid[1].policies.begin() + 1);  // eq3
+  const GateResult result = gate(cache(grid), &baseline, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("wss4096k") != std::string::npos &&
-                      f.find("eq3") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(PerfGateCache, CacheAwareNotBeatingLoadFails) {
-  // The acceptance invariant: under contention, cache-aware placement must
-  // strictly reduce the total warm-up charge vs the load-greedy pick.
-  CacheSummary current = healthy_cache();
-  for (auto& [name, c] : current.cases) {
-    (void)name;
-    c.policies.at("cache").warmup_charged_ms = c.policies.at("load").warmup_charged_ms;
-  }
-  const GateResult result = gate_cache(current, nullptr, GateOptions{});
-  EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("not strictly below") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"wss4096k.eq3.", "missing from this run"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateCache, RoundTripsThroughRenderAndLoad) {
-  const CacheSummary summary = healthy_cache();
-  std::string error;
-  const auto reloaded = load_cache_summary(parse_ok(render_cache_summary(summary)), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  ASSERT_EQ(reloaded->cases.size(), summary.cases.size());
-  const CacheCase& original = summary.cases.at("wss4096k");
-  const CacheCase& round = reloaded->cases.at("wss4096k");
-  EXPECT_DOUBLE_EQ(round.wss_kib, original.wss_kib);
-  EXPECT_DOUBLE_EQ(round.policies.at("cache").warmup_charged_ms,
-                   original.policies.at("cache").warmup_charged_ms);
-  EXPECT_DOUBLE_EQ(round.policies.at("load").migrations,
-                   original.policies.at("load").migrations);
+  const Document doc = cache(healthy_cache());
+  EXPECT_EQ(doc.tool, "cache_ablation");
+  EXPECT_EQ(doc.metrics.at("wss4096k.wss_kib").value, 4096.0);
+  EXPECT_EQ(doc.metrics.at("wss4096k.cache.warmup_charged_ms").value, 95.0);
+  EXPECT_EQ(doc.metrics.at("wss4096k.eq3.warmup_charged_ms").value, 160.0 * 0.9);
+  EXPECT_EQ(doc.metrics.at("wss4096k.load.migrations").value, 4.0);
 }
 
 TEST(PerfGateCache, BaselineChargeRegressionFails) {
-  const CacheSummary baseline = healthy_cache();
-  CacheSummary current = healthy_cache();
-  current.cases.at("wss4096k").policies.at("cache").warmup_charged_ms *= 2.0;
-  const GateResult result = gate_cache(current, &baseline, GateOptions{});
+  const Document baseline = cache(healthy_cache());
+  std::vector<bench::CacheCase> grid = healthy_cache();
+  grid[1].policies[2].warmup_charged_ms *= 2.0;
+  const GateResult result = gate(cache(grid), &baseline, false);
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("wss4096k.cache") != std::string::npos &&
-                      f.find("warmup_charged_ms") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(fails_with(result, {"wss4096k.cache.warmup_charged_ms", "regressed"}))
+      << first_failure(result);
 }
 
 TEST(PerfGateCache, CaseMismatchFollowsTheFailByDefaultRule) {
-  const CacheSummary baseline = healthy_cache();
-  CacheSummary current = healthy_cache();
-  current.cases.erase("wss1024k");
-  EXPECT_FALSE(gate_cache(current, &baseline, GateOptions{}).pass);
-  GateOptions waived;
-  waived.allow_case_subset = true;
-  const GateResult result = gate_cache(current, &baseline, waived);
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Document baseline = cache(healthy_cache());
+  std::vector<bench::CacheCase> grid = healthy_cache();
+  grid.erase(grid.begin());
+  EXPECT_FALSE(gate(cache(grid), &baseline, false).pass);
+  const GateResult result = gate(cache(grid), &baseline, true);
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateCache, RejectsForeignAndIncompleteDocuments) {
-  std::string error;
-  EXPECT_FALSE(load_cache_summary(
-                   parse_ok(R"({"schema": 1, "tool": "scale_sweep"})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("cache_ablation"), std::string::npos);
-  EXPECT_FALSE(
-      load_cache_summary(
-          parse_ok(R"({"schema": 1, "tool": "cache_ablation", "cases": {
-                        "wss64k": {"wss_kib": 64, "nodes": 4, "procs": 9}}})"),
-          &error)
-          .has_value());
-  EXPECT_NE(error.find("policies"), std::string::npos);
+  const Document baseline = scale(healthy_scale());
+  EXPECT_TRUE(fails_with(gate(cache(healthy_cache()), &baseline, false),
+                         {"scale_sweep", "cache_ablation"}));
+  // A rule perf_gate does not know, and a limit on a metric with no
+  // direction, are load errors rather than silently ungated metrics.
+  const std::string head = R"({"schema": 2, "tool": "cache_ablation", "host_cpus": 1,
+                              "metrics": {"wss64k.load.migrations": )";
+  EXPECT_NE(load_error(head + R"({"value": 1, "better": "smaller"}}})").find("better"),
+            std::string::npos);
+  EXPECT_NE(load_error(head + R"({"value": 1, "better": "info", "limit": 2}}})").find("limit"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "cache_ablation", "host_cpus": 1,
+                           "metrics": {"migrations": {"value": 1, "better": "lower"}}})")
+                .find("<case>.<name>"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 #include "perf_gate/gate.hpp"
 
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <set>
 #include <utility>
 
 namespace ampom::perfgate {
 namespace {
 
 // ---------------------------------------------------------------------------
-// JSON parsing: recursive descent over the subset the two schemas use.
+// JSON parsing: recursive descent over the subset the schema uses.
 // ---------------------------------------------------------------------------
 
 class Parser {
@@ -31,9 +33,22 @@ class Parser {
  private:
   std::optional<JsonValue> fail(const std::string& what) {
     if (error_ != nullptr && error_->empty()) {
-      *error_ = what + " at byte " + std::to_string(pos_);
+      const int at_line = line();
+      *error_ = "line " + std::to_string(at_line) + ", column " +
+                std::to_string(pos_ - line_start_ + 1) + ": " + what;
     }
     return std::nullopt;
+  }
+
+  // The line of pos_, counted incrementally: pos_ only moves forward.
+  int line() {
+    for (; counted_ < pos_ && counted_ < text_.size(); ++counted_) {
+      if (text_[counted_] == '\n') {
+        ++line_;
+        line_start_ = counted_ + 1;
+      }
+    }
+    return line_;
   }
 
   void skip_ws() {
@@ -59,6 +74,7 @@ class Parser {
   }
 
   bool parse_value(JsonValue& out) {
+    out.line = line();
     if (at_end()) {
       fail("unexpected end of input");
       return false;
@@ -253,96 +269,44 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_{0};
+  std::size_t counted_{0};
+  std::size_t line_start_{0};
+  int line_{1};
 };
 
+// Shortest text that reads back to the same double, so a one-event drift
+// never prints as two identical numbers.
 std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, result.ptr);
 }
 
-// Exact rendering for counters compared with ==; "%.6g" would round a
-// 4013614-vs-4013613 drift into two identical-looking strings.
-std::string fmt_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string out = buf;
-  if (out.find('.') != std::string::npos && out.find('e') == std::string::npos) {
-    out.erase(out.find_last_not_of('0') + 1);
-    if (!out.empty() && out.back() == '.') {
-      out.pop_back();
-    }
+std::optional<Better> better_of(const std::string& name) {
+  if (name == "lower") {
+    return Better::kLower;
   }
-  return out;
-}
-
-// The three engine profiles and their benchmark-name stems in micro_simcore.
-struct ProfileName {
-  const char* key;
-  const char* bench_stem;
-};
-constexpr ProfileName kProfiles[] = {
-    {"schedule_heavy", "BM_ScheduleHeavy"},
-    {"cancel_heavy", "BM_CancelHeavy"},
-    {"mixed", "BM_Mixed"},
-};
-
-const JsonValue* find_benchmark(const JsonValue& benchmarks, const std::string& name) {
-  for (const JsonValue& entry : benchmarks.array) {
-    const JsonValue* n = entry.find("name");
-    if (n != nullptr && n->kind == JsonValue::Kind::String && n->string == name) {
-      return &entry;
-    }
+  if (name == "higher") {
+    return Better::kHigher;
   }
-  return nullptr;
-}
-
-bool read_metric(const JsonValue& bench, const char* counter, double& out,
-                 const std::string& bench_name, std::string* error) {
-  const JsonValue* v = bench.find(counter);
-  if (v == nullptr || v->kind != JsonValue::Kind::Number) {
-    if (error != nullptr) {
-      *error = bench_name + ": counter '" + counter + "' missing from benchmark output";
-    }
-    return false;
+  if (name == "both") {
+    return Better::kBoth;
   }
-  out = v->number;
-  return true;
-}
-
-bool read_metrics(const JsonValue& benchmarks, const std::string& bench_name,
-                  ProfileMetrics& out, std::string* error) {
-  const JsonValue* bench = find_benchmark(benchmarks, bench_name);
-  if (bench == nullptr) {
-    if (error != nullptr) {
-      *error = "benchmark '" + bench_name + "' not found in raw output";
-    }
-    return false;
+  if (name == "info") {
+    return Better::kInfo;
   }
-  return read_metric(*bench, "events_per_sec", out.events_per_sec, bench_name, error) &&
-         read_metric(*bench, "allocs_per_op", out.allocs_per_op, bench_name, error) &&
-         read_metric(*bench, "peak_queued", out.peak_queued, bench_name, error);
+  return std::nullopt;
 }
 
-bool load_metrics(const JsonValue& profile, const char* engine, ProfileMetrics& out,
-                  const std::string& profile_name, std::string* error) {
-  const JsonValue* obj = profile.find(engine);
-  if (obj == nullptr || obj->kind != JsonValue::Kind::Object) {
-    if (error != nullptr) {
-      *error = "profile '" + profile_name + "' is missing the '" + engine + "' object";
-    }
-    return false;
+std::string case_of(const std::string& metric) { return metric.substr(0, metric.find('.')); }
+
+std::set<std::string> cases_of(const Document& doc) {
+  std::set<std::string> cases;
+  for (const auto& [name, metric] : doc.metrics) {
+    (void)metric;
+    cases.insert(case_of(name));
   }
-  return read_metric(*obj, "events_per_sec", out.events_per_sec, profile_name, error) &&
-         read_metric(*obj, "allocs_per_op", out.allocs_per_op, profile_name, error) &&
-         read_metric(*obj, "peak_queued", out.peak_queued, profile_name, error);
-}
-
-void render_metrics(std::string& out, const char* indent, const ProfileMetrics& m) {
-  out += indent;
-  out += "{\"events_per_sec\": " + fmt(m.events_per_sec);
-  out += ", \"allocs_per_op\": " + fmt(m.allocs_per_op);
-  out += ", \"peak_queued\": " + fmt(m.peak_queued) + "}";
+  return cases;
 }
 
 }  // namespace
@@ -362,716 +326,142 @@ std::optional<JsonValue> parse_json(const std::string& text, std::string* error)
   return Parser{text, error}.parse();
 }
 
-std::optional<Summary> summarize_raw(const JsonValue& raw, std::string* error) {
-  const JsonValue* benchmarks = raw.find("benchmarks");
-  if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::Array) {
+std::optional<Document> load_document(const JsonValue& doc, std::string* error) {
+  const auto fail = [error](const JsonValue& at, const std::string& what) {
     if (error != nullptr) {
-      *error = "raw output has no 'benchmarks' array";
+      *error = "line " + std::to_string(at.line) + ": " + what;
     }
     return std::nullopt;
+  };
+  const auto member = [&doc](const char* key, JsonValue::Kind kind) {
+    const JsonValue* v = doc.find(key);
+    return v != nullptr && v->kind == kind ? v : nullptr;
+  };
+  const JsonValue* schema = member("schema", JsonValue::Kind::Number);
+  if (schema == nullptr || schema->number != 2.0) {
+    return fail(doc, "not a perf document: \"schema\": 2 is missing");
   }
-  Summary summary;
-  for (const ProfileName& p : kProfiles) {
-    EngineProfile profile;
-    const std::string stem{p.bench_stem};
-    if (!read_metrics(*benchmarks, stem + "_Indexed", profile.indexed, error) ||
-        !read_metrics(*benchmarks, stem + "_Lazy", profile.lazy, error)) {
-      return std::nullopt;
+  const JsonValue* tool = member("tool", JsonValue::Kind::String);
+  const JsonValue* host_cpus = member("host_cpus", JsonValue::Kind::Number);
+  const JsonValue* metrics = member("metrics", JsonValue::Kind::Object);
+  if (tool == nullptr || host_cpus == nullptr || metrics == nullptr ||
+      metrics->object.empty()) {
+    return fail(doc, "a perf document needs \"tool\", \"host_cpus\" and a non-empty "
+                     "\"metrics\" object");
+  }
+  Document out;
+  out.tool = tool->string;
+  out.host_cpus = host_cpus->number;
+  for (const auto& [name, value] : metrics->object) {
+    const JsonValue* number = value.find("value");
+    const JsonValue* better = value.find("better");
+    const JsonValue* limit = value.find("limit");
+    Metric metric;
+    if (name.find('.') == std::string::npos) {
+      return fail(value, "metric '" + name + "' is not named <case>.<name>");
     }
-    if (profile.lazy.events_per_sec <= 0.0) {
-      if (error != nullptr) {
-        *error = stem + "_Lazy reports a non-positive events_per_sec";
+    if (number == nullptr || number->kind != JsonValue::Kind::Number || better == nullptr ||
+        better->kind != JsonValue::Kind::String || !better_of(better->string)) {
+      return fail(value, "metric '" + name +
+                             "' needs a numeric \"value\" and \"better\" of "
+                             "lower/higher/both/info");
+    }
+    metric.value = number->number;
+    metric.better = *better_of(better->string);
+    if (limit != nullptr) {
+      if (limit->kind != JsonValue::Kind::Number ||
+          (metric.better != Better::kLower && metric.better != Better::kHigher)) {
+        return fail(*limit, "metric '" + name + "': a limit must be numeric, on a lower or "
+                                                "higher metric");
       }
-      return std::nullopt;
+      metric.limit = limit->number;
     }
-    profile.speedup_vs_lazy = profile.indexed.events_per_sec / profile.lazy.events_per_sec;
-    summary.profiles.emplace(p.key, std::move(profile));
+    out.metrics.emplace(name, metric);
   }
-  return summary;
-}
-
-std::string render_summary(const Summary& summary) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"perf_gate\",\n  \"profiles\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, profile] : summary.profiles) {
-    out += "    \"" + name + "\": {\n";
-    out += "      \"indexed\": ";
-    render_metrics(out, "", profile.indexed);
-    out += ",\n      \"lazy\": ";
-    render_metrics(out, "", profile.lazy);
-    out += ",\n      \"speedup_vs_lazy\": " + fmt(profile.speedup_vs_lazy) + "\n    }";
-    out += (++i < summary.profiles.size()) ? ",\n" : "\n";
-  }
-  out += "  }\n}\n";
   return out;
 }
 
-std::optional<Summary> load_summary(const JsonValue& doc, std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0) {
-    if (error != nullptr) {
-      *error = "baseline is missing \"schema\": 1";
-    }
-    return std::nullopt;
-  }
-  const JsonValue* profiles = doc.find("profiles");
-  if (profiles == nullptr || profiles->kind != JsonValue::Kind::Object) {
-    if (error != nullptr) {
-      *error = "baseline has no 'profiles' object";
-    }
-    return std::nullopt;
-  }
-  Summary summary;
-  for (const auto& [name, value] : profiles->object) {
-    EngineProfile profile;
-    if (!load_metrics(value, "indexed", profile.indexed, name, error) ||
-        !load_metrics(value, "lazy", profile.lazy, name, error)) {
-      return std::nullopt;
-    }
-    const JsonValue* speedup = value.find("speedup_vs_lazy");
-    if (speedup == nullptr || speedup->kind != JsonValue::Kind::Number) {
-      if (error != nullptr) {
-        *error = "profile '" + name + "' is missing speedup_vs_lazy";
-      }
-      return std::nullopt;
-    }
-    profile.speedup_vs_lazy = speedup->number;
-    summary.profiles.emplace(name, std::move(profile));
-  }
-  return summary;
-}
-
-GateResult gate(const Summary& current, const Summary* baseline,
-                const GateOptions& options) {
+GateResult gate(const Document& run, const Document* baseline, bool allow_case_subset) {
   GateResult result;
-  auto fail = [&result](std::string message) {
+  const auto fail = [&result](std::string message) {
     result.pass = false;
     result.failures.push_back(std::move(message));
   };
 
-  for (const auto& [name, profile] : current.profiles) {
-    result.notes.push_back(name + ": indexed " + fmt(profile.indexed.events_per_sec) +
-                           " ev/s, lazy " + fmt(profile.lazy.events_per_sec) +
-                           " ev/s, speedup " + fmt(profile.speedup_vs_lazy) +
-                           "x, peak_queued " + fmt(profile.indexed.peak_queued) + " vs " +
-                           fmt(profile.lazy.peak_queued));
-    // The SBO contract: steady-state scheduling allocates nothing. Exact —
-    // a single stray allocation per million ops is a broken inline path.
-    if (profile.indexed.allocs_per_op != 0.0) {
-      fail(name + ": indexed allocs_per_op = " + fmt(profile.indexed.allocs_per_op) +
-           " (SBO contract requires exactly 0)");
+  for (const auto& [name, m] : run.metrics) {
+    const bool lower = m.better == Better::kLower;
+    if (m.limit && (lower ? m.value > *m.limit : m.value < *m.limit)) {
+      fail(name + " = " + fmt(m.value) + " breaks its limit (" + (lower ? "<= " : ">= ") +
+           fmt(*m.limit) + ")");
     }
   }
-
-  const auto cancel = current.profiles.find("cancel_heavy");
-  if (cancel == current.profiles.end()) {
-    fail("cancel_heavy profile missing from this run");
-  } else if (cancel->second.speedup_vs_lazy < options.min_speedup) {
-    fail("cancel_heavy speedup " + fmt(cancel->second.speedup_vs_lazy) +
-         "x is below the " + fmt(options.min_speedup) + "x floor");
+  if (baseline == nullptr) {
+    return result;
+  }
+  if (baseline->tool != run.tool) {
+    fail("the baseline is a '" + baseline->tool + "' document but the run is '" + run.tool +
+         "'");
+    return result;
   }
 
-  if (baseline != nullptr) {
-    for (const auto& [name, base] : baseline->profiles) {
-      const auto it = current.profiles.find(name);
-      if (it == current.profiles.end()) {
-        fail(name + ": present in the baseline but missing from this run");
-        continue;
-      }
-      const EngineProfile& cur = it->second;
-      const double speedup_floor = base.speedup_vs_lazy * (1.0 - options.tolerance);
-      if (cur.speedup_vs_lazy < speedup_floor) {
-        fail(name + ": speedup " + fmt(cur.speedup_vs_lazy) + "x regressed below " +
-             fmt(speedup_floor) + "x (baseline " + fmt(base.speedup_vs_lazy) +
-             "x, tolerance " + fmt(options.tolerance * 100.0) + "%)");
-      }
-      const double queue_ceiling = base.indexed.peak_queued * (1.0 + options.tolerance);
-      if (cur.indexed.peak_queued > queue_ceiling) {
-        fail(name + ": indexed peak_queued " + fmt(cur.indexed.peak_queued) +
-             " exceeds " + fmt(queue_ceiling) + " (baseline " +
-             fmt(base.indexed.peak_queued) + ", tolerance " +
-             fmt(options.tolerance * 100.0) + "%)");
-      }
+  const std::set<std::string> run_cases = cases_of(run);
+  const std::set<std::string> base_cases = cases_of(*baseline);
+  for (const std::string& c : run_cases) {
+    if (!base_cases.contains(c)) {
+      fail("case '" + c + "' is missing from the baseline — nothing gates it; refresh the "
+           "committed baseline to cover it");
     }
   }
-  return result;
-}
-
-namespace {
-
-bool read_case_field(const JsonValue& obj, const char* field, double& out,
-                     const std::string& case_name, std::string* error) {
-  const JsonValue* v = obj.find(field);
-  if (v == nullptr || v->kind != JsonValue::Kind::Number) {
-    if (error != nullptr) {
-      *error = "case '" + case_name + "' is missing numeric field '" + field + "'";
-    }
-    return false;
-  }
-  out = v->number;
-  return true;
-}
-
-// Fail-by-default case-set comparison. A baseline/current mismatch used to
-// be compared over the silent intersection, which let a dropped case hide a
-// regression behind a green gate; now every miss is named. Baseline-only
-// misses can be waived (GateOptions::allow_case_subset — CI's --quick grids
-// are strict subsets of the committed --full baselines); current-only cases
-// always fail, because nothing gates them until the baseline is refreshed.
-template <typename CaseMap>
-void check_case_sets(const CaseMap& current, const CaseMap& baseline,
-                     const GateOptions& options, const char* what, GateResult& result) {
-  for (const auto& [name, value] : current) {
-    (void)value;
-    if (baseline.find(name) == baseline.end()) {
-      result.pass = false;
-      result.failures.push_back(std::string(what) + " case '" + name +
-                                "' is missing from the baseline — nothing gates it; "
-                                "refresh the committed baseline to cover it");
-    }
-  }
-  for (const auto& [name, value] : baseline) {
-    (void)value;
-    if (current.find(name) != current.end()) {
+  for (const std::string& c : base_cases) {
+    if (run_cases.contains(c)) {
       continue;
     }
-    if (options.allow_case_subset) {
-      result.notes.push_back(std::string(what) + " case '" + name +
-                             "' not run this time (baseline-only miss waived by "
-                             "--allow-case-subset)");
+    if (allow_case_subset) {
+      result.notes.push_back("case '" + c + "' not run (waived by --allow-case-subset)");
     } else {
-      result.pass = false;
-      result.failures.push_back(std::string(what) + " case '" + name +
-                                "' is in the baseline but was not run — pass "
-                                "--allow-case-subset if this quick grid is intentional");
-    }
-  }
-}
-
-}  // namespace
-
-std::optional<ScaleSummary> load_scale_summary(const JsonValue& doc, std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  const JsonValue* tool = doc.find("tool");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0 || tool == nullptr ||
-      tool->kind != JsonValue::Kind::String || tool->string != "scale_sweep") {
-    if (error != nullptr) {
-      *error = "not a scale_sweep schema-1 document";
-    }
-    return std::nullopt;
-  }
-  const JsonValue* cases = doc.find("cases");
-  if (cases == nullptr || cases->kind != JsonValue::Kind::Object || cases->object.empty()) {
-    if (error != nullptr) {
-      *error = "scale document has no 'cases' object";
-    }
-    return std::nullopt;
-  }
-  ScaleSummary summary;
-  for (const auto& [name, value] : cases->object) {
-    if (value.kind != JsonValue::Kind::Object) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' is not an object";
-      }
-      return std::nullopt;
-    }
-    ScaleCase c;
-    if (!read_case_field(value, "nodes", c.nodes, name, error) ||
-        !read_case_field(value, "zones", c.zones, name, error) ||
-        !read_case_field(value, "fan_out", c.fan_out, name, error) ||
-        !read_case_field(value, "procs", c.procs, name, error) ||
-        !read_case_field(value, "events", c.events, name, error) ||
-        !read_case_field(value, "sim_sec", c.sim_sec, name, error) ||
-        !read_case_field(value, "msgs_per_node_period", c.msgs_per_node_period, name,
-                         error) ||
-        !read_case_field(value, "wall_sec", c.wall_sec, name, error) ||
-        !read_case_field(value, "events_per_sec", c.events_per_sec, name, error)) {
-      return std::nullopt;
-    }
-    summary.cases.emplace(name, c);
-  }
-  return summary;
-}
-
-std::string render_scale_summary(const ScaleSummary& summary) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"scale_sweep\",\n  \"cases\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, c] : summary.cases) {
-    out += "    \"" + name + "\": {";
-    out += "\"nodes\": " + fmt(c.nodes);
-    out += ", \"zones\": " + fmt(c.zones);
-    out += ", \"fan_out\": " + fmt(c.fan_out);
-    out += ", \"procs\": " + fmt(c.procs);
-    out += ", \"events\": " + fmt(c.events);
-    out += ", \"sim_sec\": " + fmt(c.sim_sec);
-    out += ", \"msgs_per_node_period\": " + fmt(c.msgs_per_node_period);
-    out += ", \"wall_sec\": " + fmt(c.wall_sec);
-    out += ", \"events_per_sec\": " + fmt(c.events_per_sec);
-    out += ++i < summary.cases.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-GateResult gate_scale(const ScaleSummary& current, const ScaleSummary* baseline,
-                      const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
-  };
-
-  double min_traffic = 0.0;
-  double max_traffic = 0.0;
-  bool first = true;
-  for (const auto& [name, c] : current.cases) {
-    result.notes.push_back(name + ": " + fmt(c.nodes) + " nodes / " + fmt(c.procs) +
-                           " procs, " + fmt(c.events) + " events in " + fmt(c.wall_sec) +
-                           " s wall (" + fmt(c.events_per_sec) + " ev/s), " +
-                           fmt(c.msgs_per_node_period) + " msgs/node/period");
-    // The O(fan_out) invariant: a daemon sends fan_out pings and answers the
-    // ~fan_out pings aimed at it each period (~2x fan_out total). 3x is the
-    // ceiling; an all-pairs regression would sit at ~2x(n-1) instead.
-    const double ceiling = 3.0 * c.fan_out;
-    if (c.msgs_per_node_period > ceiling) {
-      fail(name + ": msgs_per_node_period " + fmt(c.msgs_per_node_period) +
-           " exceeds the O(fan_out) ceiling " + fmt(ceiling) +
-           " — per-node traffic is scaling with cluster size");
-    }
-    if (first || c.msgs_per_node_period < min_traffic) {
-      min_traffic = c.msgs_per_node_period;
-    }
-    if (first || c.msgs_per_node_period > max_traffic) {
-      max_traffic = c.msgs_per_node_period;
-    }
-    first = false;
-  }
-  // Size-independence across the grid: per-node traffic must not trend with
-  // cluster size (all cases run the same fan_out).
-  if (min_traffic > 0.0 && max_traffic > min_traffic * (1.0 + options.tolerance)) {
-    fail("msgs_per_node_period spreads from " + fmt(min_traffic) + " to " +
-         fmt(max_traffic) + " across cases (> " + fmt(options.tolerance * 100.0) +
-         "% tolerance) — per-node traffic depends on cluster size");
-  }
-
-  if (baseline == nullptr) {
-    return result;
-  }
-
-  check_case_sets(current.cases, baseline->cases, options, "scale", result);
-
-  // Compare over the case intersection; find the smallest common case to
-  // anchor the wall-time trajectory.
-  const std::string* anchor = nullptr;
-  double anchor_nodes = 0.0;
-  for (const auto& [name, base] : baseline->cases) {
-    (void)base;
-    const auto it = current.cases.find(name);
-    if (it != current.cases.end() &&
-        (anchor == nullptr || it->second.nodes < anchor_nodes)) {
-      anchor = &name;
-      anchor_nodes = it->second.nodes;
-    }
-  }
-  if (anchor == nullptr) {
-    fail("baseline and current run share no scale cases");
-    return result;
-  }
-  const ScaleCase& cur_anchor = current.cases.at(*anchor);
-  const ScaleCase& base_anchor = baseline->cases.at(*anchor);
-
-  for (const auto& [name, base] : baseline->cases) {
-    const auto it = current.cases.find(name);
-    if (it == current.cases.end()) {
-      continue;  // already reported (or waived) by check_case_sets above
-    }
-    const ScaleCase& cur = it->second;
-    const double event_ceiling = base.events * (1.0 + options.tolerance);
-    const double event_floor = base.events * (1.0 - options.tolerance);
-    if (cur.events > event_ceiling || cur.events < event_floor) {
-      fail(name + ": events " + fmt(cur.events) + " outside baseline " +
-           fmt(base.events) + " +/- " + fmt(options.tolerance * 100.0) + "%");
-    }
-    const double traffic_ceiling = base.msgs_per_node_period * (1.0 + options.tolerance);
-    if (cur.msgs_per_node_period > traffic_ceiling) {
-      fail(name + ": msgs_per_node_period " + fmt(cur.msgs_per_node_period) +
-           " exceeds baseline " + fmt(base.msgs_per_node_period) + " + " +
-           fmt(options.tolerance * 100.0) + "%");
-    }
-    // Trajectory: wall time relative to the smallest common case. Machine
-    // speed cancels in the ratio; what remains is the scaling shape.
-    if (name != *anchor && cur_anchor.wall_sec > 0.0 && base_anchor.wall_sec > 0.0 &&
-        base.wall_sec > 0.0) {
-      const double cur_ratio = cur.wall_sec / cur_anchor.wall_sec;
-      const double base_ratio = base.wall_sec / base_anchor.wall_sec;
-      if (cur_ratio > base_ratio * (1.0 + options.tolerance)) {
-        fail(name + ": wall-time ratio vs " + *anchor + " is " + fmt(cur_ratio) +
-             "x (baseline " + fmt(base_ratio) + "x + " +
-             fmt(options.tolerance * 100.0) + "% tolerance) — scaling shape regressed");
-      }
-    }
-  }
-  return result;
-}
-
-std::optional<ParallelSummary> load_parallel_summary(const JsonValue& doc,
-                                                     std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  const JsonValue* tool = doc.find("tool");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0 || tool == nullptr ||
-      tool->kind != JsonValue::Kind::String || tool->string != "parallel_sweep") {
-    if (error != nullptr) {
-      *error = "not a parallel_sweep schema-1 document";
-    }
-    return std::nullopt;
-  }
-  ParallelSummary summary;
-  const JsonValue* host_cpus = doc.find("host_cpus");
-  if (host_cpus == nullptr || host_cpus->kind != JsonValue::Kind::Number) {
-    if (error != nullptr) {
-      *error = "parallel document has no numeric 'host_cpus'";
-    }
-    return std::nullopt;
-  }
-  summary.host_cpus = host_cpus->number;
-  const JsonValue* cases = doc.find("cases");
-  if (cases == nullptr || cases->kind != JsonValue::Kind::Object || cases->object.empty()) {
-    if (error != nullptr) {
-      *error = "parallel document has no 'cases' object";
-    }
-    return std::nullopt;
-  }
-  for (const auto& [name, value] : cases->object) {
-    if (value.kind != JsonValue::Kind::Object) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' is not an object";
-      }
-      return std::nullopt;
-    }
-    ParallelCase c;
-    if (!read_case_field(value, "nodes", c.nodes, name, error) ||
-        !read_case_field(value, "zones", c.zones, name, error) ||
-        !read_case_field(value, "procs", c.procs, name, error)) {
-      return std::nullopt;
-    }
-    const JsonValue* runs = value.find("runs");
-    if (runs == nullptr || runs->kind != JsonValue::Kind::Object || runs->object.empty()) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' has no 'runs' object";
-      }
-      return std::nullopt;
-    }
-    for (const auto& [run_name, run_value] : runs->object) {
-      const std::string key = name + "." + run_name;
-      ParallelRun run;
-      if (!read_case_field(run_value, "workers", run.workers, key, error) ||
-          !read_case_field(run_value, "events", run.events, key, error) ||
-          !read_case_field(run_value, "sim_sec", run.sim_sec, key, error) ||
-          !read_case_field(run_value, "wall_sec", run.wall_sec, key, error) ||
-          !read_case_field(run_value, "events_per_sec", run.events_per_sec, key, error)) {
-        return std::nullopt;
-      }
-      c.runs.emplace(run_name, run);
-    }
-    if (c.runs.find("w1") == c.runs.end()) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' has no 'w1' reference run";
-      }
-      return std::nullopt;
-    }
-    summary.cases.emplace(name, std::move(c));
-  }
-  return summary;
-}
-
-std::string render_parallel_summary(const ParallelSummary& summary) {
-  // Counters render exactly — "%.6g" would round a 4-million event count
-  // and break the bit-identity check on the next load.
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"parallel_sweep\",\n";
-  out += "  \"host_cpus\": " + fmt_exact(summary.host_cpus) + ",\n  \"cases\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, c] : summary.cases) {
-    out += "    \"" + name + "\": {";
-    out += "\"nodes\": " + fmt_exact(c.nodes);
-    out += ", \"zones\": " + fmt_exact(c.zones);
-    out += ", \"procs\": " + fmt_exact(c.procs);
-    out += ", \"runs\": {";
-    std::size_t r = 0;
-    for (const auto& [run_name, run] : c.runs) {
-      out += "\"" + run_name + "\": {";
-      out += "\"workers\": " + fmt_exact(run.workers);
-      out += ", \"events\": " + fmt_exact(run.events);
-      out += ", \"sim_sec\": " + fmt_exact(run.sim_sec);
-      out += ", \"wall_sec\": " + fmt(run.wall_sec);
-      out += ", \"events_per_sec\": " + fmt(run.events_per_sec);
-      out += ++r < c.runs.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += ++i < summary.cases.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-GateResult gate_parallel(const ParallelSummary& current,
-                         const ParallelSummary* baseline,
-                         const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
-  };
-
-  for (const auto& [name, c] : current.cases) {
-    const ParallelRun& reference = c.runs.at("w1");
-    const ParallelRun* widest = &reference;
-    for (const auto& [run_name, run] : c.runs) {
-      (void)run_name;
-      if (run.workers > widest->workers) {
-        widest = &run;
-      }
-      // Bit-identity: the schedule is a function of the scenario, never of
-      // the worker count. Exact — any drift is a determinism bug, not noise.
-      if (run.events != reference.events) {
-        fail(name + "." + run_name + ": events " + fmt_exact(run.events) +
-             " != w1 events " + fmt_exact(reference.events) +
-             " — the partitioned schedule depends on the worker count");
-      }
-      if (run.sim_sec != reference.sim_sec) {
-        fail(name + "." + run_name + ": sim_sec " + fmt_exact(run.sim_sec) +
-             " != w1 sim_sec " + fmt_exact(reference.sim_sec) +
-             " — the partitioned schedule depends on the worker count");
-      }
-    }
-    const double speedup = widest->wall_sec > 0.0
-                               ? reference.wall_sec / widest->wall_sec
-                               : 0.0;
-    result.notes.push_back(name + ": " + fmt(c.nodes) + " nodes, " + fmt(reference.events) +
-                           " events; w1 " + fmt(reference.wall_sec) + " s, w" +
-                           fmt(widest->workers) + " " + fmt(widest->wall_sec) + " s (" +
-                           fmt(speedup) + "x, host_cpus " + fmt(current.host_cpus) + ")");
-    // The speedup floor only means something where the hardware can deliver
-    // one; a 1-CPU container still gates bit-identity and trajectory above.
-    if (c.nodes >= 2000.0 && widest->workers > 1.0 &&
-        current.host_cpus >= widest->workers && speedup < options.parallel_min_speedup) {
-      fail(name + ": w" + fmt(widest->workers) + " speedup " + fmt(speedup) +
-           "x is below the " + fmt(options.parallel_min_speedup) + "x floor on a " +
-           fmt(current.host_cpus) + "-CPU host");
+      fail("case '" + c + "' is in the baseline but was not run — pass --allow-case-subset "
+           "if this quick grid is intentional");
     }
   }
 
-  if (baseline == nullptr) {
-    return result;
-  }
-
-  check_case_sets(current.cases, baseline->cases, options, "parallel", result);
-
-  // Intersection + trajectory, anchored at the smallest common case — the
-  // same shape rule as gate_scale, applied to the w1 runs.
-  const std::string* anchor = nullptr;
-  double anchor_nodes = 0.0;
-  for (const auto& [name, base] : baseline->cases) {
-    (void)base;
-    const auto it = current.cases.find(name);
-    if (it != current.cases.end() &&
-        (anchor == nullptr || it->second.nodes < anchor_nodes)) {
-      anchor = &name;
-      anchor_nodes = it->second.nodes;
+  const std::string band = "% of baseline ";
+  const std::string tolerance = std::to_string(std::lround(kTolerance * 100.0));
+  for (const auto& [name, base] : baseline->metrics) {
+    if (!run_cases.contains(case_of(name))) {
+      continue;  // reported (or waived) with the case above
     }
-  }
-  if (anchor == nullptr) {
-    fail("baseline and current run share no parallel cases");
-    return result;
-  }
-  const ParallelRun& cur_anchor = current.cases.at(*anchor).runs.at("w1");
-  const ParallelRun& base_anchor = baseline->cases.at(*anchor).runs.at("w1");
-
-  for (const auto& [name, base] : baseline->cases) {
-    const auto it = current.cases.find(name);
-    if (it == current.cases.end()) {
-      continue;  // already reported (or waived) by check_case_sets above
-    }
-    const ParallelCase& cur = it->second;
-    const double event_ceiling = base.runs.at("w1").events * (1.0 + options.tolerance);
-    const double event_floor = base.runs.at("w1").events * (1.0 - options.tolerance);
-    const double cur_events = cur.runs.at("w1").events;
-    if (cur_events > event_ceiling || cur_events < event_floor) {
-      fail(name + ": events " + fmt(cur_events) + " outside baseline " +
-           fmt(base.runs.at("w1").events) + " +/- " + fmt(options.tolerance * 100.0) + "%");
-    }
-    if (name != *anchor && cur_anchor.wall_sec > 0.0 && base_anchor.wall_sec > 0.0 &&
-        base.runs.at("w1").wall_sec > 0.0) {
-      const double cur_ratio = cur.runs.at("w1").wall_sec / cur_anchor.wall_sec;
-      const double base_ratio = base.runs.at("w1").wall_sec / base_anchor.wall_sec;
-      if (cur_ratio > base_ratio * (1.0 + options.tolerance)) {
-        fail(name + ": w1 wall-time ratio vs " + *anchor + " is " + fmt(cur_ratio) +
-             "x (baseline " + fmt(base_ratio) + "x + " + fmt(options.tolerance * 100.0) +
-             "% tolerance) — scaling shape regressed");
-      }
-    }
-  }
-  return result;
-}
-
-std::optional<CacheSummary> load_cache_summary(const JsonValue& doc, std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  const JsonValue* tool = doc.find("tool");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0 || tool == nullptr ||
-      tool->kind != JsonValue::Kind::String || tool->string != "cache_ablation") {
-    if (error != nullptr) {
-      *error = "not a cache_ablation schema-1 document";
-    }
-    return std::nullopt;
-  }
-  const JsonValue* cases = doc.find("cases");
-  if (cases == nullptr || cases->kind != JsonValue::Kind::Object || cases->object.empty()) {
-    if (error != nullptr) {
-      *error = "cache document has no 'cases' object";
-    }
-    return std::nullopt;
-  }
-  CacheSummary summary;
-  for (const auto& [name, value] : cases->object) {
-    if (value.kind != JsonValue::Kind::Object) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' is not an object";
-      }
-      return std::nullopt;
-    }
-    CacheCase c;
-    if (!read_case_field(value, "wss_kib", c.wss_kib, name, error) ||
-        !read_case_field(value, "nodes", c.nodes, name, error) ||
-        !read_case_field(value, "procs", c.procs, name, error)) {
-      return std::nullopt;
-    }
-    const JsonValue* policies = value.find("policies");
-    if (policies == nullptr || policies->kind != JsonValue::Kind::Object ||
-        policies->object.empty()) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' has no 'policies' object";
-      }
-      return std::nullopt;
-    }
-    for (const auto& [policy_name, policy_value] : policies->object) {
-      const std::string key = name + "." + policy_name;
-      CachePolicyRun run;
-      if (!read_case_field(policy_value, "migrations", run.migrations, key, error) ||
-          !read_case_field(policy_value, "warmup_charged_ms", run.warmup_charged_ms, key,
-                           error) ||
-          !read_case_field(policy_value, "warmup_paid_ms", run.warmup_paid_ms, key,
-                           error) ||
-          !read_case_field(policy_value, "makespan_sec", run.makespan_sec, key, error)) {
-        return std::nullopt;
-      }
-      c.policies.emplace(policy_name, run);
-    }
-    summary.cases.emplace(name, std::move(c));
-  }
-  return summary;
-}
-
-std::string render_cache_summary(const CacheSummary& summary) {
-  // Every field is simulation-deterministic; counters render exactly so a
-  // one-migration drift survives the round-trip and fails the comparison.
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"cache_ablation\",\n  \"cases\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, c] : summary.cases) {
-    out += "    \"" + name + "\": {";
-    out += "\"wss_kib\": " + fmt_exact(c.wss_kib);
-    out += ", \"nodes\": " + fmt_exact(c.nodes);
-    out += ", \"procs\": " + fmt_exact(c.procs);
-    out += ", \"policies\": {";
-    std::size_t p = 0;
-    for (const auto& [policy_name, run] : c.policies) {
-      out += "\"" + policy_name + "\": {";
-      out += "\"migrations\": " + fmt_exact(run.migrations);
-      out += ", \"warmup_charged_ms\": " + fmt_exact(run.warmup_charged_ms);
-      out += ", \"warmup_paid_ms\": " + fmt_exact(run.warmup_paid_ms);
-      out += ", \"makespan_sec\": " + fmt_exact(run.makespan_sec);
-      out += ++p < c.policies.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += ++i < summary.cases.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-GateResult gate_cache(const CacheSummary& current, const CacheSummary* baseline,
-                      const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
-  };
-
-  constexpr const char* kPolicyNames[] = {"load", "eq3", "cache"};
-  double load_total_ms = 0.0;
-  double cache_total_ms = 0.0;
-  for (const auto& [name, c] : current.cases) {
-    bool complete = true;
-    for (const char* policy : kPolicyNames) {
-      if (c.policies.find(policy) == c.policies.end()) {
-        fail(name + ": policy '" + std::string(policy) +
-             "' missing — the ablation must run all three placements");
-        complete = false;
-      }
-    }
-    if (!complete) {
+    const auto it = run.metrics.find(name);
+    if (it == run.metrics.end()) {
+      fail(name + " is in the baseline but missing from this run");
       continue;
     }
-    const CachePolicyRun& load_run = c.policies.at("load");
-    const CachePolicyRun& cache_run = c.policies.at("cache");
-    load_total_ms += load_run.warmup_charged_ms;
-    cache_total_ms += cache_run.warmup_charged_ms;
-    result.notes.push_back(name + ": wss " + fmt(c.wss_kib) + " KiB; warm-up charged " +
-                           fmt(load_run.warmup_charged_ms) + " ms (load) / " +
-                           fmt(c.policies.at("eq3").warmup_charged_ms) + " ms (eq3) / " +
-                           fmt(cache_run.warmup_charged_ms) + " ms (cache)");
-  }
-  // The acceptance bar: under contention, cache-aware placement must
-  // strictly reduce the total warm-up delay vs the load-greedy pick.
-  if (!current.cases.empty() && result.pass && cache_total_ms >= load_total_ms) {
-    fail("cache-aware total warm-up " + fmt(cache_total_ms) +
-         " ms is not strictly below the load policy's " + fmt(load_total_ms) +
-         " ms — the cost model is not steering placement");
-  }
-
-  if (baseline == nullptr) {
-    return result;
-  }
-
-  check_case_sets(current.cases, baseline->cases, options, "cache", result);
-
-  for (const auto& [name, base] : baseline->cases) {
-    const auto it = current.cases.find(name);
-    if (it == current.cases.end()) {
-      continue;  // already reported (or waived) by check_case_sets above
+    const double v = it->second.value;
+    const double b = base.value;
+    switch (it->second.better) {
+      case Better::kLower:
+        if (v > b * (1.0 + kTolerance)) {
+          fail(name + " = " + fmt(v) + " regressed past +" + tolerance + band + fmt(b));
+        }
+        break;
+      case Better::kHigher:
+        if (v < b * (1.0 - kTolerance)) {
+          fail(name + " = " + fmt(v) + " regressed past -" + tolerance + band + fmt(b));
+        }
+        break;
+      case Better::kBoth:
+        if (std::fabs(v - b) > kTolerance * std::fabs(b)) {
+          fail(name + " = " + fmt(v) + " is outside ±" + tolerance + band + fmt(b));
+        }
+        break;
+      case Better::kInfo:
+        break;
     }
-    const CacheCase& cur = it->second;
-    for (const auto& [policy_name, base_run] : base.policies) {
-      const auto run_it = cur.policies.find(policy_name);
-      if (run_it == cur.policies.end()) {
-        continue;  // the three-policy invariant above already failed this
-      }
-      const CachePolicyRun& cur_run = run_it->second;
-      const double migration_ceiling = base_run.migrations * (1.0 + options.tolerance);
-      if (cur_run.migrations > migration_ceiling) {
-        fail(name + "." + policy_name + ": migrations " + fmt(cur_run.migrations) +
-             " exceed baseline " + fmt(base_run.migrations) + " + " +
-             fmt(options.tolerance * 100.0) + "%");
-      }
-      const double charge_ceiling = base_run.warmup_charged_ms * (1.0 + options.tolerance);
-      if (cur_run.warmup_charged_ms > charge_ceiling) {
-        fail(name + "." + policy_name + ": warmup_charged_ms " +
-             fmt(cur_run.warmup_charged_ms) + " exceeds baseline " +
-             fmt(base_run.warmup_charged_ms) + " + " + fmt(options.tolerance * 100.0) +
-             "%");
-      }
+  }
+  for (const auto& [name, m] : run.metrics) {
+    (void)m;
+    if (base_cases.contains(case_of(name)) && !baseline->metrics.contains(name)) {
+      fail(name + " is not in the baseline — nothing gates it; refresh the committed "
+           "baseline to cover it");
     }
   }
   return result;

@@ -1,29 +1,24 @@
 #pragma once
-// perf_gate — the continuous-performance comparator behind BENCH_simcore.json.
+// perf_gate — the comparator behind every committed BENCH_*.json.
 //
-// bench/micro_simcore emits google-benchmark JSON for three engine profiles
-// (schedule_heavy, cancel_heavy, mixed), each run against both the indexed
-// event queue and the retired lazy-delete reference engine that lives inside
-// the bench binary. This tool:
-//
-//   1. normalizes that raw JSON into the flat committed schema
-//      (BENCH_simcore.json):
-//        {"schema":1,"tool":"perf_gate","profiles":{
-//          "cancel_heavy":{"indexed":{...},"lazy":{...},"speedup_vs_lazy":S},
-//          ...}}
-//   2. gates the run. Absolute throughput is machine-dependent and therefore
-//      only informational; the gate checks the machine-independent facts:
-//        - every indexed profile performs ZERO heap allocations per engine
-//          op (the SBO callback contract), exactly;
-//        - the cancel_heavy speedup over the lazy engine meets the hard
-//          floor (default 1.5x, the paper-repro acceptance bar);
-//        - against a committed baseline, each profile's speedup has not
-//          regressed by more than --tolerance (default 30%), and the
-//          indexed peak queued-entry count (deterministic for the fixed
-//          workload) has not grown past baseline * (1 + tolerance).
-//
-// No external JSON dependency: the parser below covers exactly the two flat
-// schemas this tool reads.
+// Each gated bench (micro_simcore, scale_sweep, parallel_sweep,
+// cache_ablation) writes the same schema-2 document (bench/common.hpp's
+// MetricsDoc): a flat map of "<case>.<name>" metrics, each with a value, a
+// `better` direction and an optional absolute limit. The run carries the
+// rules and the baseline only its values, so this tool knows no bench. It
+// knows the rule kinds:
+//   - limit: lower must stay <= limit, higher >= limit;
+//   - against the baseline: lower/higher may not regress by more than
+//     kTolerance of the baseline value (one-sided), both must stay inside
+//     that band on either side, info is never compared;
+//   - case sets: a case the baseline lacks always fails (nothing gates it
+//     until the baseline is refreshed); a baseline case missing from the
+//     run fails unless allow_case_subset waives it (the quick grids are
+//     subsets of the committed ones). Within a case both sides must carry
+//     the same metrics.
+// Cross-metric properties (bit-identity across worker counts, traffic
+// spread, wall-time shape) arrive as derived metrics with limits; see
+// bench/perf_metrics.hpp.
 
 #include <map>
 #include <optional>
@@ -39,203 +34,49 @@ struct JsonValue {
   double number{0.0};
   std::string string;
   std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;  // ordered: renders deterministically
+  std::map<std::string, JsonValue> object;
+  int line{0};  // where the value starts, for error messages
 
   // Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(const std::string& key) const;
 };
 
 // Parse a JSON document. On failure returns nullopt and, if `error` is
-// non-null, a one-line description with the byte offset.
+// non-null, a one-line description starting "line L, column C: ".
 [[nodiscard]] std::optional<JsonValue> parse_json(const std::string& text,
                                                   std::string* error);
 
-struct ProfileMetrics {
-  double events_per_sec{0.0};
-  double allocs_per_op{0.0};
-  double peak_queued{0.0};
+enum class Better { kLower, kHigher, kBoth, kInfo };
+
+struct Metric {
+  double value{0.0};
+  Better better{Better::kInfo};
+  std::optional<double> limit;  // only on lower/higher metrics
 };
 
-struct EngineProfile {
-  ProfileMetrics indexed;
-  ProfileMetrics lazy;
-  double speedup_vs_lazy{0.0};  // indexed.events_per_sec / lazy.events_per_sec
+struct Document {
+  std::string tool;
+  double host_cpus{0.0};
+  std::map<std::string, Metric> metrics;  // "<case>.<name>"
 };
 
-struct Summary {
-  std::map<std::string, EngineProfile> profiles;
-};
+// Validate a parsed schema-2 document; errors name the offending line.
+[[nodiscard]] std::optional<Document> load_document(const JsonValue& doc, std::string* error);
 
-// Extract the profile pairs from raw google-benchmark output
-// (--benchmark_out_format=json). Fails if any expected benchmark or counter
-// is missing — a silently dropped profile must not read as a pass.
-[[nodiscard]] std::optional<Summary> summarize_raw(const JsonValue& raw,
-                                                   std::string* error);
-
-// Serialize / load the committed normalized schema.
-[[nodiscard]] std::string render_summary(const Summary& summary);
-[[nodiscard]] std::optional<Summary> load_summary(const JsonValue& doc,
-                                                  std::string* error);
-
-struct GateOptions {
-  double tolerance{0.30};   // allowed fractional regression vs the baseline
-  double min_speedup{1.5};  // hard floor for the cancel_heavy speedup
-  // Hard floor for the partitioned engine: wall-clock speedup of the largest
-  // worker count over workers=1 on the >= 2000-node cases, enforced only
-  // when the recording host has at least that many CPUs.
-  double parallel_min_speedup{2.0};
-  // Case-set mismatches between baseline and current are failures by
-  // default: a silently shrunken grid once hid a regressed case behind a
-  // green gate. Setting this waives *baseline-only* misses (CI's --quick
-  // grids are strict subsets of the committed --full baselines); cases the
-  // baseline has never seen still fail — they need a baseline refresh.
-  bool allow_case_subset{false};
-};
+// The allowed fractional regression against the baseline. Wide enough to
+// absorb runner noise on same-machine ratios; every deterministic quantity
+// sits far inside it or is pinned exactly by a limit.
+inline constexpr double kTolerance = 0.30;
 
 struct GateResult {
   bool pass{true};
   std::vector<std::string> failures;
-  std::vector<std::string> notes;  // informational (absolute throughput etc.)
+  std::vector<std::string> notes;  // waived baseline-only cases
 };
 
-// Gate `current`; `baseline` may be null (invariants only, used when
-// generating the first committed baseline).
-[[nodiscard]] GateResult gate(const Summary& current, const Summary* baseline,
-                              const GateOptions& options);
-
-// --- scale sweep (BENCH_scale.json) ----------------------------------------
-// bench/scale_sweep emits the committed schema directly:
-//   {"schema":1,"tool":"scale_sweep","cases":{"n64":{...},...}}
-// The deterministic fields (events, sim_sec, msgs_per_node_period) are
-// gated; wall_sec and events_per_sec are machine-dependent and only feed
-// the normalized trajectory check.
-
-struct ScaleCase {
-  double nodes{0};
-  double zones{0};
-  double fan_out{0};
-  double procs{0};
-  double events{0};
-  double sim_sec{0};
-  double msgs_per_node_period{0};
-  double wall_sec{0};        // informational
-  double events_per_sec{0};  // informational
-};
-
-struct ScaleSummary {
-  std::map<std::string, ScaleCase> cases;
-};
-
-[[nodiscard]] std::optional<ScaleSummary> load_scale_summary(const JsonValue& doc,
-                                                             std::string* error);
-[[nodiscard]] std::string render_scale_summary(const ScaleSummary& summary);
-
-// Gate the scale sweep. Invariants (always): per-node daemon traffic stays
-// O(fan_out) — at most 3x fan_out sends per period — and is size-independent
-// across cases (max/min within the tolerance). Against a baseline, compared
-// over the case intersection only (the committed baseline carries the --full
-// grid; CI runs --quick): deterministic event counts and per-node traffic
-// within tolerance, plus the wall-time trajectory — each case's wall time
-// normalized to the smallest common case must not outgrow the baseline's
-// shape by more than the tolerance (catches reintroduced O(n^2) work even
-// though absolute wall time is machine-dependent).
-[[nodiscard]] GateResult gate_scale(const ScaleSummary& current,
-                                    const ScaleSummary* baseline,
-                                    const GateOptions& options);
-
-// --- parallel sweep (BENCH_parallel.json) -----------------------------------
-// bench/parallel_sweep runs the same cluster world at several worker counts
-// and emits the committed schema directly:
-//   {"schema":1,"tool":"parallel_sweep","host_cpus":8,"cases":{
-//     "n2000":{"nodes":...,"zones":...,"procs":...,"runs":{
-//       "w1":{"workers":1,"events":...,"sim_sec":...,"wall_sec":...,...},
-//       "w4":{...}}}}}
-// events and sim_sec are deterministic and must be *exactly* equal across a
-// case's worker counts (the bit-identity contract); wall_sec is
-// machine-dependent and feeds the speedup and trajectory checks.
-
-struct ParallelRun {
-  double workers{0};
-  double events{0};
-  double sim_sec{0};
-  double wall_sec{0};        // informational
-  double events_per_sec{0};  // informational
-};
-
-struct ParallelCase {
-  double nodes{0};
-  double zones{0};
-  double procs{0};
-  std::map<std::string, ParallelRun> runs;  // "w1", "w2", ... (w1 required)
-};
-
-struct ParallelSummary {
-  double host_cpus{0};  // recorded by the run; conditions the speedup floor
-  std::map<std::string, ParallelCase> cases;
-};
-
-[[nodiscard]] std::optional<ParallelSummary> load_parallel_summary(const JsonValue& doc,
-                                                                   std::string* error);
-[[nodiscard]] std::string render_parallel_summary(const ParallelSummary& summary);
-
-// Gate the parallel sweep. Invariants (always): within every case, each
-// run's events and sim_sec exactly equal the w1 run's — any drift means the
-// partitioned schedule depends on the worker count, which is the one bug
-// this engine must never have. Speedup floor: on cases of >= 2000 nodes,
-// the largest worker count must be at least `parallel_min_speedup` times
-// faster than w1 — enforced only when the recording host had at least that
-// many CPUs (a 1-CPU CI container cannot speed anything up; its file still
-// gates bit-identity and trajectory). Against a baseline, over the case
-// intersection: per-run events within the tolerance and the w1 wall-time
-// trajectory (normalized to the smallest common case) within the tolerance,
-// same shape rule as gate_scale.
-[[nodiscard]] GateResult gate_parallel(const ParallelSummary& current,
-                                       const ParallelSummary* baseline,
-                                       const GateOptions& options);
-
-// --- cache ablation (BENCH_cache.json) ---------------------------------------
-// bench/cache_ablation runs the same contended cluster world under each
-// placement policy (load / eq3 / cache) across a WSS sweep and emits the
-// committed schema directly:
-//   {"schema":1,"tool":"cache_ablation","cases":{
-//     "wss4096k":{"wss_kib":4096,"nodes":...,"procs":...,"policies":{
-//       "load":{"migrations":...,"warmup_charged_ms":...,"warmup_paid_ms":...,
-//               "makespan_sec":...},
-//       "eq3":{...},"cache":{...}}}}}
-// Every field is simulation-deterministic (no wall clock), so the gate is
-// fully machine-independent.
-
-struct CachePolicyRun {
-  double migrations{0};
-  double warmup_charged_ms{0};
-  double warmup_paid_ms{0};
-  double makespan_sec{0};
-};
-
-struct CacheCase {
-  double wss_kib{0};
-  double nodes{0};
-  double procs{0};
-  std::map<std::string, CachePolicyRun> policies;  // "load", "eq3", "cache"
-};
-
-struct CacheSummary {
-  std::map<std::string, CacheCase> cases;
-};
-
-[[nodiscard]] std::optional<CacheSummary> load_cache_summary(const JsonValue& doc,
-                                                             std::string* error);
-[[nodiscard]] std::string render_cache_summary(const CacheSummary& summary);
-
-// Gate the cache ablation. Invariants (always): every case carries all
-// three policies, and the cache-aware policy's total warm-up charge across
-// the sweep is strictly below the load policy's — the cost model must
-// actually buy something under contention, or the placement tie-breaks
-// regressed. Against a baseline: per-case, per-policy warm-up charges and
-// migration counts within the tolerance, with the same fail-by-default
-// case-mismatch rule as gate_scale.
-[[nodiscard]] GateResult gate_cache(const CacheSummary& current,
-                                    const CacheSummary* baseline,
-                                    const GateOptions& options);
+// Gate `run`; `baseline` may be null (limits only, used when recording the
+// first baseline).
+[[nodiscard]] GateResult gate(const Document& run, const Document* baseline,
+                              bool allow_case_subset);
 
 }  // namespace ampom::perfgate

@@ -1,25 +1,13 @@
 // perf_gate CLI.
 //
-//   perf_gate --input=raw.json [--baseline=BENCH_simcore.json]
-//             [--output=FILE] [--tolerance=0.30] [--min-speedup=1.5]
-//   perf_gate --scale-input=scale.json [--scale-baseline=BENCH_scale.json]
-//             [--scale-output=FILE] [--tolerance=0.30]
-//   perf_gate --parallel-input=parallel.json [--parallel-baseline=BENCH_parallel.json]
-//             [--parallel-output=FILE] [--tolerance=0.30] [--parallel-min-speedup=2.0]
-//   perf_gate --cache-input=cache.json [--cache-baseline=BENCH_cache.json]
-//             [--cache-output=FILE] [--tolerance=0.30]
+//   perf_gate --input=run.json [--baseline=BENCH_x.json] [--output=FILE]
+//             [--allow-case-subset]
 //
-// Engine mode reads bench/micro_simcore's --benchmark_out JSON, normalizes
-// it to the committed BENCH_simcore.json schema (written to --output when
-// given) and gates it: machine-independent invariants always, trajectory
-// checks when a --baseline is supplied. Scale mode does the same for
-// bench/scale_sweep --json output against BENCH_scale.json (O(fan_out)
-// per-node traffic, deterministic event counts, wall-time trajectory).
-// Parallel mode gates bench/parallel_sweep --json output against
-// BENCH_parallel.json (bit-identity across worker counts, the conditional
-// speedup floor, w1 wall-time trajectory).
-// The modes may be combined in one invocation; the gate passes only if
-// every requested mode passes. Exit 0 on pass, 1 on gate failure, 2 on
+// Reads the schema-2 document a bench wrote with --json=FILE, checks every
+// metric's limit and, with --baseline, the run against the committed
+// baseline (rules in gate.hpp). --output=FILE copies a passing run to FILE:
+// the way to re-baseline. --allow-case-subset waives baseline cases the run
+// did not cover (the quick grids). Exit 0 on pass, 1 on gate failure, 2 on
 // usage or parse errors.
 
 #include <fstream>
@@ -38,279 +26,51 @@ struct Options {
   std::string input;
   std::string baseline;
   std::string output;
-  std::string scale_input;
-  std::string scale_baseline;
-  std::string scale_output;
-  std::string parallel_input;
-  std::string parallel_baseline;
-  std::string parallel_output;
-  std::string cache_input;
-  std::string cache_baseline;
-  std::string cache_output;
-  GateOptions gate;
+  bool allow_case_subset{false};
 };
-
-bool parse_double(const std::string& text, double& out) {
-  std::istringstream stream{text};
-  return static_cast<bool>(stream >> out) && stream.eof() && out >= 0.0;
-}
 
 std::optional<Options> parse_args(int argc, char** argv, std::string& error) {
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value_of = [&arg](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
     if (arg.rfind("--input=", 0) == 0) {
-      options.input = value_of("--input=");
+      options.input = arg.substr(8);
     } else if (arg.rfind("--baseline=", 0) == 0) {
-      options.baseline = value_of("--baseline=");
+      options.baseline = arg.substr(11);
     } else if (arg.rfind("--output=", 0) == 0) {
-      options.output = value_of("--output=");
-    } else if (arg.rfind("--scale-input=", 0) == 0) {
-      options.scale_input = value_of("--scale-input=");
-    } else if (arg.rfind("--scale-baseline=", 0) == 0) {
-      options.scale_baseline = value_of("--scale-baseline=");
-    } else if (arg.rfind("--scale-output=", 0) == 0) {
-      options.scale_output = value_of("--scale-output=");
-    } else if (arg.rfind("--parallel-input=", 0) == 0) {
-      options.parallel_input = value_of("--parallel-input=");
-    } else if (arg.rfind("--parallel-baseline=", 0) == 0) {
-      options.parallel_baseline = value_of("--parallel-baseline=");
-    } else if (arg.rfind("--parallel-output=", 0) == 0) {
-      options.parallel_output = value_of("--parallel-output=");
-    } else if (arg.rfind("--cache-input=", 0) == 0) {
-      options.cache_input = value_of("--cache-input=");
-    } else if (arg.rfind("--cache-baseline=", 0) == 0) {
-      options.cache_baseline = value_of("--cache-baseline=");
-    } else if (arg.rfind("--cache-output=", 0) == 0) {
-      options.cache_output = value_of("--cache-output=");
+      options.output = arg.substr(9);
     } else if (arg == "--allow-case-subset") {
-      options.gate.allow_case_subset = true;
-    } else if (arg.rfind("--parallel-min-speedup=", 0) == 0) {
-      if (!parse_double(value_of("--parallel-min-speedup="),
-                        options.gate.parallel_min_speedup)) {
-        error = "invalid --parallel-min-speedup value";
-        return std::nullopt;
-      }
-    } else if (arg.rfind("--tolerance=", 0) == 0) {
-      if (!parse_double(value_of("--tolerance="), options.gate.tolerance)) {
-        error = "invalid --tolerance value";
-        return std::nullopt;
-      }
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      if (!parse_double(value_of("--min-speedup="), options.gate.min_speedup)) {
-        error = "invalid --min-speedup value";
-        return std::nullopt;
-      }
+      options.allow_case_subset = true;
     } else {
       error = "unknown argument: " + arg;
       return std::nullopt;
     }
   }
-  if (options.input.empty() && options.scale_input.empty() &&
-      options.parallel_input.empty() && options.cache_input.empty()) {
-    error = "--input=FILE, --scale-input=FILE, --parallel-input=FILE or "
-            "--cache-input=FILE is required";
+  if (options.input.empty()) {
+    error = "--input=FILE is required";
     return std::nullopt;
   }
   return options;
 }
 
-std::optional<std::string> read_file(const std::string& path) {
+// Reads, parses and validates one document; `text` receives the raw bytes.
+std::optional<Document> load_file(const std::string& path, std::string& text,
+                                  std::string& error) {
   std::ifstream in{path, std::ios::binary};
   if (!in) {
+    error = "cannot read " + path;
     return std::nullopt;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return buffer.str();
-}
-
-std::optional<Summary> load_summary_file(const std::string& path, std::string& error) {
-  const auto text = read_file(path);
-  if (!text) {
-    error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::string parse_error;
-  const auto doc = parse_json(*text, &parse_error);
+  text = buffer.str();
+  std::string detail;
+  const auto json = parse_json(text, &detail);
+  auto doc = json ? load_document(*json, &detail) : std::nullopt;
   if (!doc) {
-    error = path + ": " + parse_error;
-    return std::nullopt;
+    error = path + ": " + detail;
   }
-  auto summary = load_summary(*doc, &parse_error);
-  if (!summary) {
-    error = path + ": " + parse_error;
-  }
-  return summary;
-}
-
-std::optional<ScaleSummary> load_scale_file(const std::string& path, std::string& error) {
-  const auto text = read_file(path);
-  if (!text) {
-    error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::string parse_error;
-  const auto doc = parse_json(*text, &parse_error);
-  if (!doc) {
-    error = path + ": " + parse_error;
-    return std::nullopt;
-  }
-  auto summary = load_scale_summary(*doc, &parse_error);
-  if (!summary) {
-    error = path + ": " + parse_error;
-  }
-  return summary;
-}
-
-std::optional<ParallelSummary> load_parallel_file(const std::string& path,
-                                                  std::string& error) {
-  const auto text = read_file(path);
-  if (!text) {
-    error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::string parse_error;
-  const auto doc = parse_json(*text, &parse_error);
-  if (!doc) {
-    error = path + ": " + parse_error;
-    return std::nullopt;
-  }
-  auto summary = load_parallel_summary(*doc, &parse_error);
-  if (!summary) {
-    error = path + ": " + parse_error;
-  }
-  return summary;
-}
-
-std::optional<CacheSummary> load_cache_file(const std::string& path, std::string& error) {
-  const auto text = read_file(path);
-  if (!text) {
-    error = "cannot read " + path;
-    return std::nullopt;
-  }
-  std::string parse_error;
-  const auto doc = parse_json(*text, &parse_error);
-  if (!doc) {
-    error = path + ": " + parse_error;
-    return std::nullopt;
-  }
-  auto summary = load_cache_summary(*doc, &parse_error);
-  if (!summary) {
-    error = path + ": " + parse_error;
-  }
-  return summary;
-}
-
-// Print a gate result; returns its exit code (0 pass, 1 fail).
-int report(const GateResult& result, const char* mode, bool had_baseline) {
-  for (const std::string& note : result.notes) {
-    std::cout << "perf_gate: " << note << "\n";
-  }
-  for (const std::string& failure : result.failures) {
-    std::cout << "perf_gate: FAIL: " << failure << "\n";
-  }
-  if (!result.pass) {
-    std::cout << "perf_gate: " << mode << " gate FAILED (" << result.failures.size()
-              << " check" << (result.failures.size() == 1 ? "" : "s") << ")\n";
-    return 1;
-  }
-  std::cout << "perf_gate: " << mode << " gate passed"
-            << (had_baseline ? " (invariants + baseline trajectory)"
-                             : " (invariants only)")
-            << "\n";
-  return 0;
-}
-
-// The scale-sweep mode: load, optionally re-render, gate. Returns an exit
-// code (0/1/2) like main.
-int run_scale_mode(const Options& options) {
-  std::string error;
-  const auto current = load_scale_file(options.scale_input, error);
-  if (!current) {
-    std::cerr << "perf_gate: " << error << "\n";
-    return 2;
-  }
-  std::optional<ScaleSummary> baseline;
-  if (!options.scale_baseline.empty()) {
-    baseline = load_scale_file(options.scale_baseline, error);
-    if (!baseline) {
-      std::cerr << "perf_gate: " << error << "\n";
-      return 2;
-    }
-  }
-  if (!options.scale_output.empty()) {
-    std::ofstream out{options.scale_output, std::ios::binary};
-    if (!out) {
-      std::cerr << "perf_gate: cannot write " << options.scale_output << "\n";
-      return 2;
-    }
-    out << render_scale_summary(*current);
-  }
-  const GateResult result =
-      gate_scale(*current, baseline ? &*baseline : nullptr, options.gate);
-  return report(result, "scale", baseline.has_value());
-}
-
-// The parallel-sweep mode, same shape as run_scale_mode.
-int run_parallel_mode(const Options& options) {
-  std::string error;
-  const auto current = load_parallel_file(options.parallel_input, error);
-  if (!current) {
-    std::cerr << "perf_gate: " << error << "\n";
-    return 2;
-  }
-  std::optional<ParallelSummary> baseline;
-  if (!options.parallel_baseline.empty()) {
-    baseline = load_parallel_file(options.parallel_baseline, error);
-    if (!baseline) {
-      std::cerr << "perf_gate: " << error << "\n";
-      return 2;
-    }
-  }
-  if (!options.parallel_output.empty()) {
-    std::ofstream out{options.parallel_output, std::ios::binary};
-    if (!out) {
-      std::cerr << "perf_gate: cannot write " << options.parallel_output << "\n";
-      return 2;
-    }
-    out << render_parallel_summary(*current);
-  }
-  const GateResult result =
-      gate_parallel(*current, baseline ? &*baseline : nullptr, options.gate);
-  return report(result, "parallel", baseline.has_value());
-}
-
-// The cache-ablation mode, same shape as run_scale_mode.
-int run_cache_mode(const Options& options) {
-  std::string error;
-  const auto current = load_cache_file(options.cache_input, error);
-  if (!current) {
-    std::cerr << "perf_gate: " << error << "\n";
-    return 2;
-  }
-  std::optional<CacheSummary> baseline;
-  if (!options.cache_baseline.empty()) {
-    baseline = load_cache_file(options.cache_baseline, error);
-    if (!baseline) {
-      std::cerr << "perf_gate: " << error << "\n";
-      return 2;
-    }
-  }
-  if (!options.cache_output.empty()) {
-    std::ofstream out{options.cache_output, std::ios::binary};
-    if (!out) {
-      std::cerr << "perf_gate: cannot write " << options.cache_output << "\n";
-      return 2;
-    }
-    out << render_cache_summary(*current);
-  }
-  const GateResult result =
-      gate_cache(*current, baseline ? &*baseline : nullptr, options.gate);
-  return report(result, "cache", baseline.has_value());
+  return doc;
 }
 
 }  // namespace
@@ -320,82 +80,43 @@ int main(int argc, char** argv) {
   const auto options = parse_args(argc, argv, error);
   if (!options) {
     std::cerr << "perf_gate: " << error << "\n"
-              << "usage: perf_gate --input=raw.json [--baseline=FILE] [--output=FILE]"
-                 " [--tolerance=0.30] [--min-speedup=1.5]\n"
-                 "       perf_gate --scale-input=scale.json [--scale-baseline=FILE]"
-                 " [--scale-output=FILE] [--tolerance=0.30]\n"
-                 "       perf_gate --parallel-input=parallel.json"
-                 " [--parallel-baseline=FILE] [--parallel-output=FILE]"
-                 " [--tolerance=0.30] [--parallel-min-speedup=2.0]\n"
-                 "       perf_gate --cache-input=cache.json [--cache-baseline=FILE]"
-                 " [--cache-output=FILE] [--tolerance=0.30]\n"
-                 "       any mode: --allow-case-subset waives baseline-only case misses"
-                 " (quick grids)\n";
+              << "usage: perf_gate --input=run.json [--baseline=BENCH_x.json]"
+                 " [--output=FILE] [--allow-case-subset]\n";
     return 2;
   }
-
-  int scale_rc = 0;
-  if (!options->scale_input.empty()) {
-    scale_rc = run_scale_mode(*options);
-    if (scale_rc == 2) {
-      return 2;
-    }
+  std::string input_text;
+  const auto run = load_file(options->input, input_text, error);
+  std::optional<Document> baseline;
+  if (run && !options->baseline.empty()) {
+    std::string baseline_text;
+    baseline = load_file(options->baseline, baseline_text, error);
   }
-  if (!options->parallel_input.empty()) {
-    const int parallel_rc = run_parallel_mode(*options);
-    if (parallel_rc == 2) {
-      return 2;
-    }
-    scale_rc = scale_rc != 0 ? scale_rc : parallel_rc;
-  }
-  if (!options->cache_input.empty()) {
-    const int cache_rc = run_cache_mode(*options);
-    if (cache_rc == 2) {
-      return 2;
-    }
-    scale_rc = scale_rc != 0 ? scale_rc : cache_rc;
-  }
-  if (options->input.empty()) {
-    return scale_rc;
-  }
-
-  const auto raw_text = read_file(options->input);
-  if (!raw_text) {
-    std::cerr << "perf_gate: cannot read " << options->input << "\n";
+  if (!run || (!options->baseline.empty() && !baseline)) {
+    std::cerr << "perf_gate: " << error << "\n";
     return 2;
-  }
-  std::string parse_error;
-  const auto raw = parse_json(*raw_text, &parse_error);
-  if (!raw) {
-    std::cerr << "perf_gate: " << options->input << ": " << parse_error << "\n";
-    return 2;
-  }
-  const auto current = summarize_raw(*raw, &parse_error);
-  if (!current) {
-    std::cerr << "perf_gate: " << options->input << ": " << parse_error << "\n";
-    return 2;
-  }
-
-  std::optional<Summary> baseline;
-  if (!options->baseline.empty()) {
-    baseline = load_summary_file(options->baseline, error);
-    if (!baseline) {
-      std::cerr << "perf_gate: " << error << "\n";
-      return 2;
-    }
-  }
-
-  if (!options->output.empty()) {
-    std::ofstream out{options->output, std::ios::binary};
-    if (!out) {
-      std::cerr << "perf_gate: cannot write " << options->output << "\n";
-      return 2;
-    }
-    out << render_summary(*current);
   }
 
   const GateResult result =
-      gate(*current, baseline ? &*baseline : nullptr, options->gate);
-  const int engine_rc = report(result, "engine", baseline.has_value());
-  return engine_rc != 0 ? engine_rc : scale_rc;
+      gate(*run, baseline ? &*baseline : nullptr, options->allow_case_subset);
+  for (const std::string& note : result.notes) {
+    std::cout << "perf_gate: " << note << "\n";
+  }
+  for (const std::string& failure : result.failures) {
+    std::cout << "perf_gate: FAIL: " << failure << "\n";
+  }
+  if (!result.pass) {
+    std::cout << "perf_gate: " << run->tool << " gate FAILED (" << result.failures.size()
+              << " check" << (result.failures.size() == 1 ? "" : "s") << ")\n";
+    return 1;
+  }
+  std::cout << "perf_gate: " << run->tool << " gate passed, " << run->metrics.size()
+            << " metrics" << (baseline ? " (limits + baseline)" : " (limits only)") << "\n";
+  if (!options->output.empty()) {
+    std::ofstream out{options->output, std::ios::binary};
+    if (!(out << input_text)) {
+      std::cerr << "perf_gate: cannot write " << options->output << "\n";
+      return 2;
+    }
+  }
+  return 0;
 }
