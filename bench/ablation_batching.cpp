@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
               driver::Scenario s = bench::make_scenario(kernel, mib, driver::Scheme::Ampom);
               s.ampom.batch_requests = batching;
               if (broadband) {
-                s.shape_migrant_link = true;
                 s.shaped_link = driver::broadband_link();
               }
               return s;

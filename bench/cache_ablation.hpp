@@ -26,7 +26,7 @@
 #include "balancer/load_balancer.hpp"
 #include "bench/common.hpp"
 #include "bench/perf_metrics.hpp"
-#include "driver/scenario.hpp"
+#include "driver/builder.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ampom::bench {
@@ -50,11 +50,8 @@ inline balancer::JobSpec cache_ablation_job(const char* label, net::NodeId home,
 }
 
 inline PolicyRun run_cache_policy(std::uint64_t wss_kib, driver::Placement placement) {
-  balancer::WorldConfig config;
-  config.scheme = driver::Scheme::Ampom;
-  config.topology = cluster::Topology::flat(3);
-  config.hierarchy.enabled = true;
-  balancer::ClusterSim world{config};
+  balancer::ClusterSim world{
+      driver::ScenarioBuilder{}.scheme(driver::Scheme::Ampom).topology(1, 3).cache_model().build()};
 
   // The contention: a big resident fills most of node 1's LLC, a small one
   // barely touches node 2's. Both run long enough to outlive the burst, so

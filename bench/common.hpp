@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
 #include "driver/runner.hpp"
 #include "driver/sweep_executor.hpp"
 #include "stats/table.hpp"

@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
         return [c, broadband, scheme] {
           driver::Scenario s = bench::make_scenario(c.kernel, c.mib, scheme);
           if (broadband) {
-            s.shape_migrant_link = true;
             s.shaped_link = driver::broadband_link();
           }
           return s;

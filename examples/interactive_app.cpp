@@ -12,7 +12,7 @@
 #include <memory>
 
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "stats/table.hpp"
 #include "workload/synthetic.hpp"
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "stats/table.hpp"
 #include "workload/hpcc.hpp"
 

@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "workload/hpcc.hpp"

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "migration/checkpoint.hpp"
+#include "migration/lightweight.hpp"
 #include "migration/precopy.hpp"
-#include "migration/remigration.hpp"
 #include "trace/trace.hpp"
 
 namespace ampom::balancer {
@@ -24,8 +25,12 @@ ProcessHost::ProcessHost(ClusterSim& world, std::uint64_t pid, JobSpec spec)
               spec_.home,        pid,            process_.aspace().page_count(), &ledger_} {
   process_.aspace().populate_all_dirty();
   world_.node(spec_.home).set_deputy(pid_, &deputy_);
+  deputy_.set_trace(world_.trace_);
   if (world.reliability().enabled) {
     deputy_.set_reliability(true);
+  }
+  if (world_.ram_limit_pages_ > 0) {
+    executor_.set_ram_limit_pages(world_.ram_limit_pages_);
   }
   // Keep the world's per-node load counts exact: every placement change
   // (migration commit, rehoming) goes through set_current_node.
@@ -34,12 +39,17 @@ ProcessHost::ProcessHost(ClusterSim& world, std::uint64_t pid, JobSpec spec)
       world_.note_moved(*this, from, to);
     }
   });
-  // Time-sharing: the process gets an equal share of whichever node it is on.
+  // Time-sharing: the processes on a node split what its background load
+  // leaves of the CPU equally.
   executor_.set_cpu_share_source([this] {
-    const auto sharers = world_.active_on(process_.current_node());
-    return 1.0 / static_cast<double>(std::max<std::uint64_t>(1, sharers));
+    const net::NodeId node = process_.current_node();
+    const auto sharers = world_.active_on(node);
+    return world_.node(node).cpu_share() /
+           static_cast<double>(std::max<std::uint64_t>(1, sharers));
   });
-  executor_.set_max_burst(sim::Time::from_ms(5));  // responsive rebalancing
+  if (world_.short_bursts_) {
+    executor_.set_max_burst(sim::Time::from_ms(5));  // responsive rebalancing
+  }
   executor_.set_on_finished([this] { world_.note_finished(*this); });
 }
 
@@ -65,7 +75,13 @@ const proc::PagingClient* ProcessHost::paging_client(net::NodeId node) const {
   return it == stacks_.end() ? nullptr : it->second.client.get();
 }
 
+const core::AmpomPolicy* ProcessHost::ampom_policy(net::NodeId node) const {
+  const auto it = stacks_.find(node);
+  return it == stacks_.end() ? nullptr : it->second.ampom.get();
+}
+
 void ProcessHost::on_host_crashed(net::NodeId node) {
+  stranded_ = true;
   executor_.crash_interrupt();
   const auto it = stacks_.find(node);
   if (it != stacks_.end() && it->second.client != nullptr) {
@@ -86,7 +102,9 @@ void ProcessHost::recover_to_home() {
   process_.aspace().recover_all_local();
   process_.set_current_node(spec_.home);
   executor_.set_policy(nullptr);  // every page is Local at home again
+  executor_.set_syscall_transport({});  // system calls run locally at home
   executor_.resume_migrated(world_.profile().costs);
+  stranded_ = false;
   ++recoveries_;
   world_.note_rehomed(*this, lost);
 }
@@ -97,6 +115,7 @@ void ProcessHost::activate_stack(net::NodeId node) {
     PagingStack stack;
     stack.client = std::make_unique<proc::PagingClient>(
         world_.simulator(), world_.fabric(), world_.profile().wire, node, spec_.home, pid_);
+    stack.client->set_trace(world_.trace_);
     if (world_.reliability().enabled && world_.reliability().paging.enabled) {
       stack.client->set_retry_config(world_.reliability().paging);
       cluster::InfoDaemon& daemon = world_.infod(node);
@@ -121,10 +140,13 @@ void ProcessHost::activate_stack(net::NodeId node) {
               est.expected_cpu_share = host_node.cpu_share();
               return est;
             });
+        if (world_.ampom_trace_) {
+          stack.ampom->set_trace(world_.ampom_trace_);
+        }
         break;
       }
       default:
-        break;  // openMosix / PreCopy: no remote paging
+        break;  // openMosix / PreCopy / Checkpoint: no remote paging
     }
     it = stacks_.emplace(node, std::move(stack)).first;
   }
@@ -145,9 +167,19 @@ void ProcessHost::activate_stack(net::NodeId node) {
       policy->on_arrival(p, urgent);
     });
   }
+  if (world_.home_dependency_) {
+    // openMosix home dependency: system calls run at the home node.
+    world_.node(node).set_syscall_executor(pid_, &executor_);
+    executor_.set_syscall_transport(
+        [&fabric = world_.fabric(), wire = world_.profile().wire, node, home = spec_.home,
+         pid = pid_](std::uint64_t seq) {
+          fabric.send(net::Message{node, home, wire.control_message, net::SyscallRequest{pid, seq}});
+        });
+  }
 }
 
-void ProcessHost::migrate_to(net::NodeId dst) {
+void ProcessHost::migrate_to(net::NodeId dst,
+                             std::function<void(const migration::MigrationResult&)> on_done) {
   if (!migratable() || dst == process_.current_node() || dst >= world_.node_count()) {
     return;
   }
@@ -193,7 +225,8 @@ void ProcessHost::migrate_to(net::NodeId dst) {
   }
   ctx.trace = world_.trace_;
   migration::migrate_process(std::move(ctx), engine,
-                             [this, src, dst](migration::MigrationResult result) {
+                             [this, src, dst, on_done = std::move(on_done)](
+                                 migration::MigrationResult result) {
                                migrating_ = false;
                                world_.note_migration_ended(src, dst);
                                if (result.completed()) {
@@ -222,6 +255,9 @@ void ProcessHost::migrate_to(net::NodeId dst) {
                                    world_.observer_->on_migration_aborted(*this, src, dst);
                                  }
                                }
+                               if (on_done) {
+                                 on_done(result);
+                               }
                              });
 }
 
@@ -229,48 +265,63 @@ void ProcessHost::migrate_to(net::NodeId dst) {
 // ClusterSim
 // ---------------------------------------------------------------------------
 
-WorldConfig WorldConfig::from(const driver::Scenario& scenario) {
-  if (!scenario.topology.set()) {
-    throw std::invalid_argument(
-        "WorldConfig::from: scenario has no topology — cluster worlds need "
-        "ScenarioBuilder::topology(zones, nodes_per_zone)");
+namespace {
+
+// The world a scenario describes. Without a topology it is the paper's
+// testbed: home and destination, plus a third node when it has a role —
+// re-migration target, background-traffic source or checkpoint file server.
+cluster::Topology world_topology(const driver::Scenario& scenario) {
+  if (scenario.topology.set()) {
+    return scenario.topology;
   }
-  WorldConfig config;
-  config.scheme = scenario.scheme;
-  config.profile = scenario.profile;
-  config.ampom = scenario.ampom;
-  config.topology = scenario.topology;
-  config.gossip = scenario.gossip;
-  config.exec = scenario.exec;
-  config.hierarchy = scenario.hierarchy;
-  config.cpmd_calibration = scenario.cpmd_calibration;
-  return config;
+  const bool third_node = scenario.remigrate_after > sim::Time::zero() ||
+                          scenario.background_traffic > 0.0 ||
+                          scenario.scheme == driver::Scheme::Checkpoint;
+  return cluster::Topology::flat(third_node ? 3 : 2);
 }
+
+driver::Scenario flat_scenario(std::size_t node_count, driver::Scheme scheme,
+                               const driver::ClusterProfile& profile,
+                               const core::AmpomConfig& ampom) {
+  driver::Scenario scenario;
+  scenario.scheme = scheme;
+  scenario.profile = profile;
+  scenario.ampom = ampom;
+  scenario.topology = cluster::Topology::flat(node_count);
+  return scenario;
+}
+
+}  // namespace
 
 ClusterSim::ClusterSim(std::size_t node_count, driver::Scheme scheme,
                        driver::ClusterProfile profile, core::AmpomConfig ampom)
-    : ClusterSim{WorldConfig{scheme, profile, ampom,
-                             cluster::Topology::flat(node_count),
-                             cluster::GossipConfig{}}} {}
+    : ClusterSim{flat_scenario(node_count, scheme, profile, ampom)} {}
 
 ClusterSim::ClusterSim(const driver::Scenario& scenario)
-    : ClusterSim{WorldConfig::from(scenario)} {
-  set_reliability(scenario.reliability);
-  if (scenario.faults.active()) {
-    set_fault_plan(scenario.faults);
-  }
-}
-
-ClusterSim::ClusterSim(const WorldConfig& config)
-    : scheme_{config.scheme},
-      profile_{config.profile},
-      ampom_{config.ampom},
-      topology_{config.topology},
-      gossip_{config.gossip},
-      fabric_{sim_, config.topology.node_count(), config.profile.link} {
+    : scheme_{scenario.scheme},
+      profile_{scenario.profile},
+      ampom_{scenario.ampom},
+      ampom_trace_{scenario.ampom_trace},
+      topology_{world_topology(scenario)},
+      gossip_{scenario.gossip},
+      ram_limit_pages_{scenario.ram_limit_pages},
+      home_dependency_{scenario.home_dependency},
+      // Cluster worlds cap bursts at 5 ms so a balancer's freeze request
+      // lands promptly; the paper's testbed keeps the executor's 20 ms.
+      short_bursts_{scenario.topology.set()},
+      fabric_{sim_, topology_.node_count(), scenario.profile.link} {
   const std::size_t node_count = topology_.node_count();
   if (node_count < 2) {
     throw std::invalid_argument("ClusterSim needs at least two nodes");
+  }
+  if (scenario.background_traffic > 0.0 && node_count < 3) {
+    throw std::invalid_argument("ClusterSim: background traffic needs a third node as its source");
+  }
+  if (scenario.scheme == driver::Scheme::Checkpoint && node_count < 3) {
+    throw std::invalid_argument("ClusterSim: checkpoint needs a third node as its file server");
+  }
+  if (scenario.shaped_link) {
+    fabric_.set_link(0, 1, *scenario.shaped_link);
   }
   // Intra-run parallelism: partition the event queue by zone before anything
   // schedules an event. The zone is the natural partition — gossip, voting
@@ -278,7 +329,7 @@ ClusterSim::ClusterSim(const WorldConfig& config)
   // link latency is the minimum cross-zone propagation delay, i.e. the
   // conservative lookahead bound. A single-zone world has nothing to run in
   // parallel and silently keeps the serial engine.
-  if (config.exec.parallel_run() && topology_.zones >= 2) {
+  if (scenario.exec.parallel_run() && topology_.zones >= 2) {
     sim::Simulator::PartitionPlan plan;
     plan.partitions = topology_.zones;
     plan.node_partition.resize(node_count);
@@ -286,17 +337,17 @@ ClusterSim::ClusterSim(const WorldConfig& config)
       plan.node_partition[i] = topology_.zone_of(static_cast<net::NodeId>(i)) + 1;
     }
     plan.lookahead = profile_.link.latency;
-    sim_.configure_partitions(std::move(plan), static_cast<std::uint32_t>(config.exec.workers));
+    sim_.configure_partitions(std::move(plan), static_cast<std::uint32_t>(scenario.exec.workers));
   }
   // Cache/NUMA model (DESIGN.md §17): built before the daemons so their
   // cache-pressure sources can read it. The digest upgrade rides on the
   // existing gossip config — when both are on, every daemon ships the
   // 32-byte cache-format entries.
-  if (config.hierarchy.enabled) {
-    hierarchy_ = std::make_unique<mem::MemoryHierarchy>(config.hierarchy, node_count);
-    cpmd_ = config.cpmd_calibration.empty()
+  if (scenario.hierarchy.enabled) {
+    hierarchy_ = std::make_unique<mem::MemoryHierarchy>(scenario.hierarchy, node_count);
+    cpmd_ = scenario.cpmd_calibration.empty()
                 ? migration::CpmdTable::builtin()
-                : migration::CpmdTable::load_file(config.cpmd_calibration);
+                : migration::CpmdTable::load_file(scenario.cpmd_calibration);
     if (gossip_.enabled) {
       gossip_.cache_digest = true;
     }
@@ -337,18 +388,41 @@ ClusterSim::ClusterSim(const WorldConfig& config)
     nodes_[i]->set_infod(infods_[i].get());
     infods_[i]->start();
   }
+  nodes_[1]->set_background_load(scenario.dest_background_load);
 
   switch (scheme_) {
-    case driver::Scheme::Ampom:
-      remigrate_ = std::make_unique<migration::RemigrationEngine>(
-          migration::RemigrationEngine::Config{/*ship_mpt=*/true});
+    case driver::Scheme::OpenMosix:
+      first_hop_ = std::make_unique<migration::FullCopyEngine>();
       break;
     case driver::Scheme::NoPrefetch:
+      first_hop_ = std::make_unique<migration::ThreePageEngine>();
       remigrate_ = std::make_unique<migration::RemigrationEngine>(
           migration::RemigrationEngine::Config{/*ship_mpt=*/false});
       break;
-    default:
-      break;  // full copy / pre-copy re-migrate with their first-hop engine
+    case driver::Scheme::Ampom:
+      first_hop_ = std::make_unique<migration::AmpomEngine>();
+      remigrate_ = std::make_unique<migration::RemigrationEngine>(
+          migration::RemigrationEngine::Config{/*ship_mpt=*/true});
+      break;
+    case driver::Scheme::PreCopy:
+      first_hop_ = std::make_unique<migration::PreCopyEngine>();
+      break;
+    case driver::Scheme::Checkpoint:
+      // The last node is the file server.
+      first_hop_ = std::make_unique<migration::CheckpointRestartEngine>(
+          migration::CheckpointRestartEngine::Config{static_cast<net::NodeId>(node_count - 1)});
+      break;
+  }
+
+  set_reliability(scenario.reliability);
+  if (scenario.faults.active()) {
+    set_fault_plan(scenario.faults);
+  }
+  if (scenario.background_traffic > 0.0) {
+    // The third node floods the destination's link.
+    background_ = std::make_unique<net::BackgroundTraffic>(sim_, fabric_, 2, 1,
+                                                           scenario.background_traffic);
+    background_->start();
   }
 }
 
@@ -419,6 +493,12 @@ void ClusterSim::set_reliability(const driver::ReliabilityConfig& config) {
 void ClusterSim::set_trace(trace::TraceRecorder* recorder) {
   trace_ = recorder;
   fabric_.set_trace(recorder);
+  for (auto& host : hosts_) {
+    host->deputy_.set_trace(recorder);
+    for (auto& [node, stack] : host->stacks_) {
+      stack.client->set_trace(recorder);
+    }
+  }
   if (recorder != nullptr && sim_.partitioned()) {
     // Partitions record concurrently into per-partition shards; the recorder
     // merges them deterministically (by timestamp, then partition) on read.
@@ -523,25 +603,14 @@ cluster::PeerHealth ClusterSim::consensus_health(net::NodeId id) const {
   return cluster::PeerHealth::kAlive;
 }
 
-migration::MigrationEngine& ClusterSim::first_hop_engine() {
-  switch (scheme_) {
-    case driver::Scheme::OpenMosix:
-    case driver::Scheme::PreCopy:     // pre-copy not supported per-host; full copy
-    case driver::Scheme::Checkpoint:  // no file server in ClusterSim; full copy
-      return full_copy_;
-    case driver::Scheme::NoPrefetch:
-      return three_page_;
-    case driver::Scheme::Ampom:
-      return ampom_engine_;
-  }
-  return full_copy_;
-}
-
 migration::MigrationEngine& ClusterSim::second_hop_engine() {
   if (remigrate_ != nullptr) {
     return *remigrate_;
   }
-  return full_copy_;
+  // Pre-copy re-migrates with its own mechanism. A checkpoint's file server
+  // may be the next destination, so it re-migrates by full copy, as
+  // openMosix does.
+  return scheme_ == driver::Scheme::PreCopy ? *first_hop_ : full_copy_;
 }
 
 ProcessHost& ClusterSim::spawn(JobSpec spec) {

@@ -7,10 +7,13 @@
 // CPU; migrations use the engines of src/migration, choosing first-hop or
 // re-migration variants automatically. The LoadBalancer (load_balancer.hpp)
 // drives migrations from InfoDaemon load vectors — the §7 "scheduling
-// policies that make use of AMPoM" direction.
+// policies that make use of AMPoM" direction. It is also the world of the
+// paper's own experiments: driver::Runner spawns one job and scripts its
+// hops with ProcessHost::migrate_to.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,7 +32,8 @@
 #include "migration/cpmd.hpp"
 #include "migration/engine.hpp"
 #include "migration/full_copy.hpp"
-#include "migration/lightweight.hpp"
+#include "migration/remigration.hpp"
+#include "net/background_traffic.hpp"
 #include "net/fault_injector.hpp"
 #include "proc/demand_paging.hpp"
 #include "proc/deputy.hpp"
@@ -63,11 +67,15 @@ class ProcessHost {
   [[nodiscard]] bool migrating() const { return migrating_; }
   // Eligible for a balancer-initiated move right now.
   [[nodiscard]] bool migratable() const { return started_ && !finished() && !migrating_; }
+  // Frozen on a crashed node until recover_to_home runs (a balancer's job).
+  [[nodiscard]] bool stranded() const { return stranded_; }
 
   // Move the process to `dst`; a no-op if not currently migratable.
-  // Mutates cross-partition placement and world load accounting.
+  // `on_done`, if given, receives the hop's result once it commits or
+  // aborts. Mutates cross-partition placement and world load accounting.
   // ampom: global-only
-  void migrate_to(net::NodeId dst);
+  void migrate_to(net::NodeId dst,
+                  std::function<void(const migration::MigrationResult&)> on_done = {});
 
   // Failure recovery: the node the process runs on died. The deputy reclaims
   // every page the crashed host held (HPT/ledger reconstruction), the frozen
@@ -95,6 +103,9 @@ class ProcessHost {
   // The paging client this process uses when running on `node`, or null if
   // it never activated a stack there. Read-only: auditor introspection.
   [[nodiscard]] const proc::PagingClient* paging_client(net::NodeId node) const;
+  // The AMPoM policy this process uses on `node`, or null (other schemes,
+  // or never ran there).
+  [[nodiscard]] const core::AmpomPolicy* ampom_policy(net::NodeId node) const;
 
  private:
   friend class ClusterSim;
@@ -122,45 +133,26 @@ class ProcessHost {
   std::map<net::NodeId, PagingStack> stacks_;
   bool started_{false};
   bool migrating_{false};
+  bool stranded_{false};
   std::uint64_t migrations_{0};
   std::uint64_t failed_migrations_{0};  // aborted (e.g. destination died)
   std::uint64_t recoveries_{0};         // recover_to_home invocations
   sim::Time freeze_total_{};
 };
 
-// The full shape of a cluster world: scheme + profile + zone layout +
-// dissemination mode. The scenario-based constructor derives one from a
-// builder-validated Scenario, so examples and benches no longer hand-roll
-// node wiring.
-struct WorldConfig {
-  driver::Scheme scheme{driver::Scheme::Ampom};
-  driver::ClusterProfile profile{driver::gideon300_profile()};
-  core::AmpomConfig ampom{};
-  cluster::Topology topology{};
-  cluster::GossipConfig gossip{};
-  // exec.workers >= 1 (with a multi-zone topology) selects the partitioned
-  // simulator: one event sub-queue per zone, run on that many OS threads.
-  // The schedule is a pure function of the scenario, so every worker count
-  // produces bit-identical results (DESIGN.md §15). Default: serial engine.
-  driver::ExecPolicy exec{};
-  // Cache/NUMA model + CPMD calibration (DESIGN.md §17). Disabled by
-  // default: no hierarchy state, no warm-up charges, bit-identical runs.
-  mem::HierarchyConfig hierarchy{};
-  std::string cpmd_calibration{};  // empty = CpmdTable::builtin()
-
-  [[nodiscard]] static WorldConfig from(const driver::Scenario& scenario);
-};
-
 class ClusterSim : public cluster::ClusterView {
  public:
-  explicit ClusterSim(const WorldConfig& config);
-  // Single-zone, all-pairs-mesh convenience (the pre-gossip shape).
+  // Builds the world a validated Scenario describes: its topology, or the
+  // paper's testbed when it names none (see world_topology in the .cpp),
+  // the environment knobs (shaped home-destination link, destination CPU
+  // load, background traffic into the destination), the reliability config
+  // and the fault plan. Spawn jobs, then run.
+  explicit ClusterSim(const driver::Scenario& scenario);
+  // Single-zone, all-pairs-mesh convenience (the pre-gossip shape): a
+  // default Scenario with a flat topology of `node_count` nodes.
   ClusterSim(std::size_t node_count, driver::Scheme scheme,
              driver::ClusterProfile profile = driver::gideon300_profile(),
              core::AmpomConfig ampom = {});
-  // Builds the world a validated cluster-mode Scenario describes, applying
-  // its reliability config and fault plan (spawn jobs, then run).
-  explicit ClusterSim(const driver::Scenario& scenario);
 
   ClusterSim(const ClusterSim&) = delete;
   ClusterSim& operator=(const ClusterSim&) = delete;
@@ -329,8 +321,13 @@ class ClusterSim : public cluster::ClusterView {
   }
 
   // Engine selection shared by all hosts.
-  [[nodiscard]] migration::MigrationEngine& first_hop_engine();
+  [[nodiscard]] migration::MigrationEngine& first_hop_engine() { return *first_hop_; }
   [[nodiscard]] migration::MigrationEngine& second_hop_engine();
+  // The shared re-migration engine (NoPrefetch and AMPoM only, else null):
+  // its flush counters cover every re-migration of the run.
+  [[nodiscard]] const migration::RemigrationEngine* remigration_engine() const {
+    return remigrate_.get();
+  }
 
   [[nodiscard]] sim::Time makespan() const;  // latest finish time
 
@@ -358,12 +355,18 @@ class ClusterSim : public cluster::ClusterView {
   driver::Scheme scheme_;
   driver::ClusterProfile profile_;
   core::AmpomConfig ampom_;
+  core::AmpomPolicy::TraceHook ampom_trace_;
   cluster::Topology topology_;
   cluster::GossipConfig gossip_;
   driver::ReliabilityConfig reliability_;
+  // Per-process knobs every ProcessHost applies (see its constructor).
+  std::uint64_t ram_limit_pages_;
+  bool home_dependency_;
+  bool short_bursts_;
   sim::Simulator sim_;
   net::Fabric fabric_;
   std::unique_ptr<net::FaultInjector> injector_;
+  std::unique_ptr<net::BackgroundTraffic> background_;
   std::vector<std::unique_ptr<cluster::Node>> nodes_;
   std::vector<std::unique_ptr<cluster::InfoDaemon>> infods_;
   std::vector<std::unique_ptr<ProcessHost>> hosts_;
@@ -404,10 +407,9 @@ class ClusterSim : public cluster::ClusterView {
   std::unique_ptr<mem::MemoryHierarchy> hierarchy_;
   migration::CpmdTable cpmd_;  // immutable after construction
 
-  migration::FullCopyEngine full_copy_;
-  migration::ThreePageEngine three_page_;
-  migration::AmpomEngine ampom_engine_;
-  std::unique_ptr<migration::MigrationEngine> remigrate_;  // scheme-specific
+  std::unique_ptr<migration::MigrationEngine> first_hop_;  // scheme-specific
+  std::unique_ptr<migration::RemigrationEngine> remigrate_;
+  migration::FullCopyEngine full_copy_;  // re-migration for openMosix / Checkpoint
 };
 
 }  // namespace ampom::balancer

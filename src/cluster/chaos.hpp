@@ -8,10 +8,10 @@
 // power, a switch partitions the fabric, crashes cascade as load shifts, a
 // flaky transceiver flaps. A ChaosPlan declares those campaigns; the
 // orchestrator expands them — deterministically, from the plan's own seed —
-// into the primitive crash/outage schedule the harness already knows how to
-// apply (ClusterSim::set_fault_plan, run_experiment). The expansion draws
-// nothing from the run's message RNG, so adding a campaign never perturbs
-// which messages the probabilistic faults hit.
+// into the primitive crash/outage schedule ClusterSim::set_fault_plan
+// already knows how to apply. The expansion draws nothing from the run's
+// message RNG, so adding a campaign never perturbs which messages the
+// probabilistic faults hit.
 
 #include <cstdint>
 #include <string>

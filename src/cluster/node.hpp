@@ -26,7 +26,6 @@ class Node {
 
   // CPU share available to a migrant on this node.
   [[nodiscard]] double cpu_share() const { return 1.0 - background_load_; }
-  [[nodiscard]] double background_load() const { return background_load_; }
   void set_background_load(double load);
 
   // Component registration, demultiplexed by pid (a node hosts one deputy
@@ -60,12 +59,6 @@ class Node {
     chunk_handlers_.erase(pid);
     ack_handlers_.erase(pid);
   }
-
-  // Single-process convenience overloads (pid 1), used by the experiment
-  // driver and most tests.
-  void set_deputy(proc::Deputy* deputy) { set_deputy(1, deputy); }
-  void set_paging_client(proc::PagingClient* client) { set_paging_client(1, client); }
-  void set_syscall_executor(proc::Executor* executor) { set_syscall_executor(1, executor); }
 
   [[nodiscard]] InfoDaemon* infod() { return infod_; }
 

@@ -3,7 +3,7 @@
 //
 // Scenario stays a plain aggregate — every existing brace-initialized call
 // site keeps working — but hand-assembling one silently accepts
-// combinations the harness then rejects deep inside run_experiment (or
+// combinations ClusterSim then rejects deep inside a run (or
 // worse, runs into a hung simulation: a fault plan with the reliability
 // protocols off loses messages nobody retransmits). The builder centralizes
 // those rules at build() time with errors that name the offending knobs.
@@ -108,7 +108,6 @@ class ScenarioBuilder {
 
   // Shapes the home/destination link (e.g. broadband_link() for Fig. 9).
   ScenarioBuilder& shaped_link(net::LinkParams value) {
-    scenario_.shape_migrant_link = true;
     scenario_.shaped_link = value;
     return *this;
   }
@@ -160,7 +159,7 @@ class ScenarioBuilder {
 
   // --- chaos campaigns (appended to the fault plan's ChaosPlan) -------------
   // Correlated fault shapes on top of the per-message faults; expanded
-  // deterministically by the harness (see cluster/chaos.hpp). Like the rest
+  // deterministically by ClusterSim (see cluster/chaos.hpp). Like the rest
   // of the fault plan, campaigns require reliability to be enabled.
   ScenarioBuilder& chaos_seed(std::uint64_t value) {
     scenario_.faults.chaos.seed = value;

@@ -6,7 +6,7 @@
 // driver::Runner (which held the trace recorder of "the last run"). A
 // RunContext gathers all of it behind one object with no global fallback:
 //
-//   - the Logger the harness writes through (AMPOM_LOG takes a Logger&),
+//   - the Logger the run writes through (AMPOM_LOG takes a Logger&),
 //     optionally captured into an in-memory buffer instead of stderr;
 //   - the TraceRecorder built from Scenario::trace, alive as long as the
 //     context so the timeline can be exported after the run;

@@ -1,15 +1,16 @@
 #pragma once
 // Runner: the one-at-a-time experiment facade.
 //
-// run_experiment's historical contract is "scenario in, metrics out". A
-// Runner adds the observability around that: each run() constructs a fresh
-// RunContext (per-run logger at the configured level, trace recorder built
-// from Scenario::trace, the registered metric sinks) and keeps the finished
-// context alive so the caller can export the timeline or read the captured
-// log afterwards. Nothing is process-wide — two Runners on two threads
-// never interact (see driver/sweep_executor.hpp for the pooled version).
-//
-// run_experiment(s) remains a thin wrapper over Runner{}.run(s).
+// A run builds the Scenario's balancer::ClusterSim (the paper's testbed
+// when it names no topology), spawns the one job on node 0 at `warmup` and
+// scripts its hops: 0 -> 1 `migrate_after` later and, when
+// `remigrate_after` is set, 1 -> 2 that long after the first hop lands.
+// Each run() also constructs a fresh RunContext (per-run logger at the
+// configured level, trace recorder built from Scenario::trace, the
+// registered metric sinks) and keeps the finished context alive so the
+// caller can export the timeline or read the captured log afterwards.
+// Nothing is process-wide — two Runners on two threads never interact (see
+// driver/sweep_executor.hpp for the pooled version).
 
 #include <functional>
 #include <memory>
@@ -66,5 +67,15 @@ class Runner {
   std::unique_ptr<RunContext> context_;
   std::vector<std::function<void(const RunMetrics&)>> sinks_;
 };
+
+// Scenario in, metrics out: Runner{}.run(scenario).
+[[nodiscard]] RunMetrics run_experiment(const Scenario& scenario);
+
+namespace detail {
+// One run with the caller's context: logs through its Logger and wires its
+// trace recorder into every instrumented layer. Touches nothing outside
+// `scenario` and `ctx`, so concurrent calls with distinct contexts are safe.
+[[nodiscard]] RunMetrics run_scenario(const Scenario& scenario, RunContext& ctx);
+}  // namespace detail
 
 }  // namespace ampom::driver

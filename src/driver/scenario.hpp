@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,10 +24,9 @@
 namespace ampom::driver {
 
 // A scripted fault schedule for one run: probabilistic per-link faults plus
-// declarative outage/crash windows. The harness (run_experiment or
-// ClusterSim) constructs a FaultInjector from it only when the plan is
-// active, so the default plan leaves every run byte-identical to the
-// fault-free fabric.
+// declarative outage/crash windows. ClusterSim constructs a FaultInjector
+// from it only when the plan is active, so the default plan leaves every
+// run byte-identical to the fault-free fabric.
 struct FaultPlan {
   std::uint64_t seed{1};
   net::LinkFaults default_faults{};
@@ -54,8 +54,8 @@ struct FaultPlan {
   std::vector<NodeCrash> crashes;
 
   // Correlated campaigns (zone outages, partitions, crash waves, link
-  // flaps); expanded deterministically into the primitives above by the
-  // harness once it knows the node count. See cluster/chaos.hpp.
+  // flaps); expanded deterministically into the primitives above by
+  // ClusterSim once it knows the node count. See cluster/chaos.hpp.
   cluster::ChaosPlan chaos{};
 
   [[nodiscard]] bool active() const {
@@ -78,7 +78,7 @@ struct FaultPlan {
   }
 
   // Installs the probabilistic faults and outage windows. Crashes are NOT
-  // scheduled here — the harness owns them, because crashing a node also
+  // scheduled here — ClusterSim owns them, because crashing a node also
   // means interrupting the executors and paging clients living on it.
   void apply_faults(net::FaultInjector& injector) const {
     injector.set_default_faults(default_faults);
@@ -172,9 +172,10 @@ struct Scenario {
   ClusterProfile profile{gideon300_profile()};
   core::AmpomConfig ampom{};
 
-  // Cluster-world shape (ClusterSim scenarios): zone layout and the
-  // InfoDaemon dissemination mode. An unset topology means the scenario is
-  // a single-process experiment (run_experiment) and these are ignored.
+  // World shape: zone layout and the InfoDaemon dissemination mode. An
+  // unset topology selects the paper's testbed: two nodes, or three when
+  // the third has a role (re-migration target, background-traffic source,
+  // checkpoint file server).
   cluster::Topology topology{};
   cluster::GossipConfig gossip{};
 
@@ -185,12 +186,12 @@ struct Scenario {
   Placement placement{Placement::kLoad};
   std::string cpmd_calibration{};  // calibration file path; empty = built-in
 
-  // Environment knobs.
-  bool shape_migrant_link{false};      // apply `shaped_link` between home/dest
-  net::LinkParams shaped_link{};       // e.g. broadband_link() for Fig. 9
+  // Environment knobs. The destination is node 1, and the third node
+  // (node 2) sources the background traffic.
+  std::optional<net::LinkParams> shaped_link;  // home/dest link, e.g. broadband_link() (Fig. 9)
   double dest_background_load{0.0};    // CPU contention at the destination
   double background_traffic{0.0};      // competing flow into the dest (0..1)
-  std::uint64_t ram_limit_pages{0};    // destination RAM cap (0 = unlimited)
+  std::uint64_t ram_limit_pages{0};    // per-process RAM cap (0 = unlimited)
   bool home_dependency{true};          // redirect syscalls to the home node
 
   // Process placement / timing.

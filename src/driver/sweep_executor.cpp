@@ -3,7 +3,7 @@
 #include <atomic>
 #include <thread>
 
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 
 namespace ampom::driver {
 

@@ -10,7 +10,7 @@
 // with no double counting.
 //
 // Link parameters default cluster-wide (Gideon 300: 100 Mb/s Fast Ethernet)
-// and can be overridden per node pair — that is how the traffic shaper
+// and can be overridden per node pair — that is how Scenario::shaped_link
 // emulates the paper's §5.5 broadband experiment (6 Mb/s, 2 ms).
 //
 // Small control messages (pings, acks, syscall messages — anything at or

@@ -6,6 +6,7 @@
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
+#include "driver/builder.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ampom::balancer {
@@ -97,6 +98,51 @@ TEST(ClusterSim, SecondHopUsesRemigration) {
   EXPECT_TRUE(host.finished());
   EXPECT_EQ(host.migrations(), 2u);
   EXPECT_EQ(host.current_node(), 2u);
+}
+
+TEST(ClusterSim, HonoursTheScenarioAmpomTraceHook) {
+  std::uint64_t analyses = 0;
+  ClusterSim world{driver::ScenarioBuilder{}
+                       .scheme(driver::Scheme::Ampom)
+                       .topology(1, 2)
+                       .ampom_trace([&analyses](const core::ZoneInputs&, std::uint64_t,
+                                                std::size_t) { ++analyses; })
+                       .build()};
+  ProcessHost& host = world.spawn(sequential_job(0, 60000));
+  world.simulator().schedule_at(Time::from_sec(0.5), [&host] { host.migrate_to(1); });
+  world.run();
+  EXPECT_EQ(host.migrations(), 1u);
+  EXPECT_GT(analyses, 0u);
+}
+
+// One 0 -> 1 hop under `scheme` in a three-node world: its freeze, and the
+// bytes node 2 received (daemon pings only, unless it is the checkpoint
+// file server).
+struct HopOutcome {
+  Time freeze;
+  std::uint64_t node2_rx_bytes;
+};
+
+HopOutcome one_hop(driver::Scheme scheme) {
+  ClusterSim world{3, scheme};
+  ProcessHost& host = world.spawn(sequential_job(0, 60000));
+  world.simulator().schedule_at(Time::from_sec(0.5), [&host] { host.migrate_to(1); });
+  world.run();
+  EXPECT_TRUE(host.finished()) << driver::scheme_name(scheme);
+  EXPECT_EQ(host.migrations(), 1u) << driver::scheme_name(scheme);
+  return {host.freeze_total(), world.fabric().counters(2).rx_bytes};
+}
+
+TEST(ClusterSim, PreCopyAndCheckpointRunTheirOwnEngines) {
+  const HopOutcome full = one_hop(driver::Scheme::OpenMosix);
+  const HopOutcome precopy = one_hop(driver::Scheme::PreCopy);
+  const HopOutcome checkpoint = one_hop(driver::Scheme::Checkpoint);
+  // Pre-copy ships the image while the process runs and freezes only for
+  // the last dirty set; checkpoint freezes across the upload to the file
+  // server (node 2) and the download from it.
+  EXPECT_LT(precopy.freeze, full.freeze);
+  EXPECT_GT(checkpoint.freeze, full.freeze);
+  EXPECT_GT(checkpoint.node2_rx_bytes, full.node2_rx_bytes + 8 * sim::kMiB);
 }
 
 TEST(ClusterSim, MigrationRequestsAreIdempotentWhileMigrating) {

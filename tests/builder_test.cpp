@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "workload/hpcc.hpp"
 
 namespace {
@@ -44,6 +44,19 @@ TEST(ScenarioBuilder, MatchesHandRolledScenario) {
   EXPECT_EQ(a.freeze_time, b.freeze_time);
   EXPECT_EQ(a.hard_faults, b.hard_faults);
   EXPECT_EQ(a.pages_arrived, b.pages_arrived);
+}
+
+TEST(ScenarioBuilder, RunnerHonoursTheTopology) {
+  std::size_t nodes = 0;
+  const driver::RunMetrics m =
+      driver::run_experiment(minimal()
+                                 .topology(1, 4)
+                                 .on_setup([&nodes](sim::Simulator&, net::Fabric& fabric) {
+                                   nodes = fabric.node_count();
+                                 })
+                                 .build());
+  EXPECT_EQ(nodes, 4u);
+  EXPECT_TRUE(m.migration_completed);
 }
 
 TEST(ScenarioBuilder, RejectsMissingWorkload) {

@@ -13,7 +13,7 @@
 #include "balancer/load_balancer.hpp"
 #include "cluster/chaos.hpp"
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "verify/invariant_auditor.hpp"
 #include "workload/synthetic.hpp"
 

@@ -13,6 +13,8 @@
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
+#include "driver/builder.hpp"
+#include "driver/runner.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ampom::balancer {
@@ -68,6 +70,31 @@ TEST(Chaos, MigrationAndPagingCompleteUnderLoss) {
       EXPECT_GT(paging->retransmits, 0u);
     }
   }
+}
+
+// A scripted run has no balancer to re-home a process stranded on a crashed
+// node: the Runner must end it, by finishing or by throwing, never spin.
+driver::RunMetrics scripted_run_with_crash(net::NodeId node, Time at) {
+  driver::FaultPlan plan;
+  plan.crashes.push_back({node, at, /*restore_at=*/at + Time::from_sec(1.0)});
+  return driver::run_experiment(driver::ScenarioBuilder{}
+                                    .workload("chaos", paging_job(0).make_workload)
+                                    .reliability(driver::ReliabilityConfig::all_on())
+                                    .faults(plan)
+                                    .build());
+}
+
+TEST(Chaos, ScriptedRunStrandedOnACrashedNodeEnds) {
+  // The destination dies under the migrant (migration at 1.001 s).
+  EXPECT_THROW((void)scripted_run_with_crash(1, Time::from_sec(2.0)), std::runtime_error);
+}
+
+TEST(Chaos, ScriptedRunToADeadDestinationFinishesAtHome) {
+  // The destination is down when the hop starts: the ack'd transfer aborts
+  // and the process finishes where it was born.
+  const driver::RunMetrics m = scripted_run_with_crash(1, Time::from_ms(900));
+  EXPECT_FALSE(m.migration_completed);
+  EXPECT_GT(m.refs_consumed, 0u);
 }
 
 TEST(Chaos, DeadDestinationAbortsMigrationAndUnfreezesAtSource) {

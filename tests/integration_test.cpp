@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "workload/hpcc.hpp"
 #include "workload/synthetic.hpp"
 
@@ -25,6 +25,16 @@ Scenario base_scenario(Scheme scheme, std::uint64_t memory_mib = 16) {
 
 RunMetrics run(Scheme scheme, std::uint64_t memory_mib = 16) {
   return run_experiment(base_scenario(scheme, memory_mib));
+}
+
+// The paper point perfbench's self-test also pins: a drift here moves every
+// paper figure.
+TEST(Integration, PaperPointDgemm575AmpomIsPinned) {
+  Scenario s = base_scenario(Scheme::Ampom, 575);
+  s.make_workload = [] { return workload::make_hpcc_kernel(workload::HpccKernel::Dgemm, 575); };
+  const RunMetrics m = run_experiment(s);
+  EXPECT_EQ(m.freeze_time.str(), "681.791ms");
+  EXPECT_EQ(m.total_time.str(), "148.541s");
 }
 
 TEST(Integration, MissingWorkloadFactoryRejected) {
@@ -111,7 +121,6 @@ TEST(Integration, DeterministicAcrossRuns) {
 TEST(Integration, BroadbandShapingSlowsEverything) {
   Scenario fast = base_scenario(Scheme::Ampom);
   Scenario slow = base_scenario(Scheme::Ampom);
-  slow.shape_migrant_link = true;
   slow.shaped_link = broadband_link();
   const RunMetrics f = run_experiment(fast);
   const RunMetrics s = run_experiment(slow);

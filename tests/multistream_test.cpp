@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ampom::driver {

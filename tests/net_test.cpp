@@ -8,7 +8,6 @@
 
 #include "net/background_traffic.hpp"
 #include "net/fabric.hpp"
-#include "net/traffic_shaper.hpp"
 #include "simcore/simulator.hpp"
 
 namespace ampom::net {
@@ -118,25 +117,6 @@ TEST_F(FabricFixture, PairOverrideIsSymmetric) {
   fabric.set_link(1, 0, LinkParams{sim::Bandwidth::mbits_per_sec(10), Time::from_ms(1)});
   EXPECT_EQ(fabric.link(0, 1).latency, Time::from_ms(1));
   EXPECT_EQ(fabric.link(1, 0).latency, Time::from_ms(1));
-}
-
-TEST_F(FabricFixture, ShaperAppliesAndRestoresPair) {
-  TrafficShaper shaper{fabric};
-  const LinkParams before = fabric.link(0, 1);
-  shaper.shape_pair(0, 1, TrafficShaper::broadband());
-  EXPECT_EQ(fabric.link(0, 1).bandwidth.bps(), 6'000'000u);
-  EXPECT_EQ(fabric.link(0, 1).latency, Time::from_ms(2));
-  shaper.restore();
-  EXPECT_EQ(fabric.link(0, 1).bandwidth, before.bandwidth);
-  EXPECT_EQ(fabric.link(0, 1).latency, before.latency);
-}
-
-TEST_F(FabricFixture, ShaperShapeAllAffectsEveryPair) {
-  TrafficShaper shaper{fabric};
-  shaper.shape_all(TrafficShaper::broadband());
-  EXPECT_EQ(fabric.link(2, 3).bandwidth.bps(), 6'000'000u);
-  shaper.restore();
-  EXPECT_EQ(fabric.link(2, 3).bandwidth.bps(), 100'000'000u);
 }
 
 TEST_F(FabricFixture, BackgroundTrafficApproximatesTargetLoad) {

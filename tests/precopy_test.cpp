@@ -5,7 +5,7 @@
 
 #include <memory>
 
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "migration/precopy.hpp"
 #include "workload/hpcc.hpp"
 #include "workload/synthetic.hpp"

@@ -9,7 +9,7 @@
 
 #include "core/dependent_zone.hpp"
 #include "core/locality.hpp"
-#include "driver/experiment.hpp"
+#include "driver/runner.hpp"
 #include "simcore/rng.hpp"
 #include "workload/hpcc.hpp"
 

@@ -7,7 +7,8 @@
 #include <memory>
 
 #include "balancer/cluster_sim.hpp"
-#include "driver/experiment.hpp"
+#include "driver/builder.hpp"
+#include "driver/runner.hpp"
 #include "workload/hpcc.hpp"
 #include "workload/synthetic.hpp"
 
@@ -104,13 +105,13 @@ balancer::JobSpec cpmd_job(net::NodeId home, std::uint64_t touches) {
   return job;
 }
 
-balancer::WorldConfig cache_world(const std::string& calibration = {}) {
-  balancer::WorldConfig config;
-  config.scheme = Scheme::Ampom;
-  config.topology = cluster::Topology::flat(4);
-  config.hierarchy.enabled = true;
-  config.cpmd_calibration = calibration;
-  return config;
+Scenario cache_world(const std::string& calibration = {}) {
+  ScenarioBuilder builder;
+  builder.scheme(Scheme::Ampom).topology(1, 4).cache_model();
+  if (!calibration.empty()) {
+    builder.cpmd_calibration(calibration);
+  }
+  return builder.build();
 }
 
 // A calibration whose warm-up dwarfs every timing jitter in the run: 5 s at
@@ -174,10 +175,7 @@ TEST(RemigrationCpmd, RemigrationAfterPayoffPaysASecondFullCharge) {
 }
 
 TEST(RemigrationCpmd, CacheModelOffChargesNothing) {
-  balancer::WorldConfig config;
-  config.scheme = Scheme::Ampom;
-  config.topology = cluster::Topology::flat(4);
-  balancer::ClusterSim world{config};
+  balancer::ClusterSim world{ScenarioBuilder{}.scheme(Scheme::Ampom).topology(1, 4).build()};
   balancer::ProcessHost& host = world.spawn(cpmd_job(0, 20000));
   world.simulator().schedule_at(Time::from_ms(500), [&host] { host.migrate_to(1); });
   world.run();

@@ -10,7 +10,6 @@
 #include <tuple>
 
 #include "driver/builder.hpp"
-#include "driver/experiment.hpp"
 #include "driver/run_context.hpp"
 #include "driver/runner.hpp"
 #include "trace/chrome_export.hpp"

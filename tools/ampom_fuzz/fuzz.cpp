@@ -6,7 +6,7 @@
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
-#include "driver/scenario.hpp"
+#include "driver/builder.hpp"
 #include "simcore/fmt.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/units.hpp"
@@ -136,12 +136,13 @@ FuzzCase generate_case(std::uint64_t seed) {
 
 FuzzResult run_case(const FuzzCase& fuzz_case) {
   FuzzResult result;
-  balancer::WorldConfig world_config;
-  world_config.scheme = driver::Scheme::Ampom;
-  world_config.topology =
-      cluster::Topology::flat(std::max<std::size_t>(fuzz_case.nodes, 2));
-  world_config.hierarchy.enabled = fuzz_case.cache_policy;
-  balancer::ClusterSim world{world_config};
+  driver::ScenarioBuilder world_builder;
+  world_builder.scheme(driver::Scheme::Ampom)
+      .topology(1, static_cast<std::uint32_t>(std::max<std::size_t>(fuzz_case.nodes, 2)));
+  if (fuzz_case.cache_policy) {
+    world_builder.cache_model();
+  }
+  balancer::ClusterSim world{world_builder.build()};
   verify::InvariantAuditor auditor{world};
   balancer::LoadBalancer::Config balancer_config;
   balancer_config.period = sim::Time::from_ms(250);

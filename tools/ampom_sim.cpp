@@ -38,9 +38,10 @@ using namespace ampom;
   --seed=N               workload seed                         (default 1)
   --jobs=N               worker threads for sweeps (comma lists); results
                          are bit-identical to --jobs=1          (default 1)
-  --workers=N            intra-run simulator threads (cluster-world
-                         scenarios only; single-process experiments run
-                         serially regardless)                   (default 0)
+  --workers=N            intra-run simulator threads; the partitioned
+                         engine splits a world by zone, and the paper's
+                         testbed is one zone, so it runs serially
+                         regardless                             (default 0)
 
   environment:
   --broadband            shape the migrant/home link to 6 Mb/s + 2 ms
