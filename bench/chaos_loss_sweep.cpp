@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
           plan.seed = 17;
           plan.default_faults.drop_probability = drop;
           return bench::cell_builder(kernel, mib, driver::Scheme::Ampom)
-              .reliability(driver::ReliabilityConfig::all_on())
+              .reliable()
               .faults(plan)
               .build();
         },

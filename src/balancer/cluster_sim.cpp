@@ -26,9 +26,7 @@ ProcessHost::ProcessHost(ClusterSim& world, std::uint64_t pid, JobSpec spec)
   process_.aspace().populate_all_dirty();
   world_.node(spec_.home).set_deputy(pid_, &deputy_);
   deputy_.set_trace(world_.trace_);
-  if (world.reliability().enabled) {
-    deputy_.set_reliability(true);
-  }
+  deputy_.set_reliable(world.reliable());
   if (world_.ram_limit_pages_ > 0) {
     executor_.set_ram_limit_pages(world_.ram_limit_pages_);
   }
@@ -116,8 +114,8 @@ void ProcessHost::activate_stack(net::NodeId node) {
     stack.client = std::make_unique<proc::PagingClient>(
         world_.simulator(), world_.fabric(), world_.profile().wire, node, spec_.home, pid_);
     stack.client->set_trace(world_.trace_);
-    if (world_.reliability().enabled && world_.reliability().paging.enabled) {
-      stack.client->set_retry_config(world_.reliability().paging);
+    if (world_.reliable()) {
+      stack.client->set_reliable(true);
       cluster::InfoDaemon& daemon = world_.infod(node);
       stack.client->set_rtt_provider(
           [&daemon, home = spec_.home] { return daemon.rtt_one_way(home); });
@@ -178,28 +176,35 @@ void ProcessHost::activate_stack(net::NodeId node) {
   }
 }
 
-void ProcessHost::migrate_to(net::NodeId dst,
+bool ProcessHost::migrate_to(net::NodeId dst,
                              std::function<void(const migration::MigrationResult&)> on_done) {
-  if (!migratable() || dst == process_.current_node() || dst >= world_.node_count()) {
-    return;
+  const net::NodeId src = process_.current_node();
+  if (!migratable() || dst == src || dst >= world_.node_count()) {
+    return false;
   }
   if (dst == process_.home_node()) {
     // The engines model H->B first hops and B->C re-migrations, not live
     // B->H returns (a paging stack at home would page from itself). Going
     // home is the recovery path (recover_to_home), not a balancer move.
-    return;
+    return false;
   }
-  const bool reliable =
-      world_.reliability().enabled && world_.reliability().migration.enabled;
+  const bool reliable = world_.reliable();
   if (world_.node_crashed(dst) && !reliable) {
     // The classic fire-and-forget engines would "complete" into a dead node;
     // without the ack'd protocol to detect that, refuse the move instead.
-    return;
+    return false;
+  }
+  if (world_.scheme() == driver::Scheme::Checkpoint) {
+    // The last node is the file server: the checkpoint engine cannot write
+    // an image to (or restore one from) the node that stores it.
+    const auto file_server = static_cast<net::NodeId>(world_.node_count() - 1);
+    if (src == file_server || dst == file_server) {
+      return false;
+    }
   }
   migrating_ = true;
-  const net::NodeId src = process_.current_node();
   world_.note_migration_started(src, dst);
-  const bool first_hop = process_.current_node() == process_.home_node();
+  const bool first_hop = src == process_.home_node();
   migration::MigrationEngine& engine =
       first_hop ? world_.first_hop_engine() : world_.second_hop_engine();
 
@@ -209,7 +214,7 @@ void ProcessHost::migrate_to(net::NodeId dst,
                                   process_,
                                   executor_,
                                   deputy_,
-                                  process_.current_node(),
+                                  src,
                                   dst,
                                   world_.profile().costs,
                                   world_.profile().costs,
@@ -217,11 +222,10 @@ void ProcessHost::migrate_to(net::NodeId dst,
                                   [this, dst] { activate_stack(dst); },
                                   /*src_node=*/nullptr,
                                   /*dst_node=*/nullptr,
-                                  /*reliability=*/{}};
+                                  world_.mutate_skip_abort_rollback_};
   if (reliable) {
-    ctx.src_node = &world_.node(process_.current_node());
+    ctx.src_node = &world_.node(src);
     ctx.dst_node = &world_.node(dst);
-    ctx.reliability = world_.reliability().migration;
   }
   ctx.trace = world_.trace_;
   migration::migrate_process(std::move(ctx), engine,
@@ -259,6 +263,7 @@ void ProcessHost::migrate_to(net::NodeId dst,
                                  on_done(result);
                                }
                              });
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +334,7 @@ ClusterSim::ClusterSim(const driver::Scenario& scenario)
   // link latency is the minimum cross-zone propagation delay, i.e. the
   // conservative lookahead bound. A single-zone world has nothing to run in
   // parallel and silently keeps the serial engine.
-  if (scenario.exec.parallel_run() && topology_.zones >= 2) {
+  if (scenario.workers >= 1 && topology_.zones >= 2) {
     sim::Simulator::PartitionPlan plan;
     plan.partitions = topology_.zones;
     plan.node_partition.resize(node_count);
@@ -337,7 +342,7 @@ ClusterSim::ClusterSim(const driver::Scenario& scenario)
       plan.node_partition[i] = topology_.zone_of(static_cast<net::NodeId>(i)) + 1;
     }
     plan.lookahead = profile_.link.latency;
-    sim_.configure_partitions(std::move(plan), static_cast<std::uint32_t>(scenario.exec.workers));
+    sim_.configure_partitions(std::move(plan), static_cast<std::uint32_t>(scenario.workers));
   }
   // Cache/NUMA model (DESIGN.md §17): built before the daemons so their
   // cache-pressure sources can read it. The digest upgrade rides on the
@@ -414,7 +419,7 @@ ClusterSim::ClusterSim(const driver::Scenario& scenario)
       break;
   }
 
-  set_reliability(scenario.reliability);
+  set_reliable(scenario.reliable);
   if (scenario.faults.active()) {
     set_fault_plan(scenario.faults);
   }
@@ -478,15 +483,15 @@ void ClusterSim::set_fault_plan(const driver::FaultPlan& plan) {
   }
 }
 
-void ClusterSim::set_reliability(const driver::ReliabilityConfig& config) {
-  reliability_ = config;
+void ClusterSim::set_reliable(bool enabled) {
+  reliable_ = enabled;
   for (auto& infod : infods_) {
-    infod->set_failure_detection(config.detection);
+    infod->set_failure_detection(enabled);
   }
   // Hosts spawned before this call still get their paging stacks lazily, so
   // only the deputy flag needs back-filling.
   for (auto& host : hosts_) {
-    host->deputy_.set_reliability(config.enabled);
+    host->deputy_.set_reliable(enabled);
   }
 }
 
@@ -529,7 +534,7 @@ void ClusterSim::crash_node(net::NodeId id) {
   if (recovery_tracking_) {
     ++recovery_.crashes;
     crashed_at_[id] = CrashStamp{sim_.now(), true};
-    if (reliability_.enabled && reliability_.detection.enabled) {
+    if (reliable_) {
       poll_detection(id, sim_.now());
     }
   }
@@ -559,7 +564,7 @@ bool ClusterSim::node_crashed(net::NodeId id) const {
 }
 
 cluster::PeerHealth ClusterSim::consensus_health(net::NodeId id) const {
-  if (!reliability_.enabled || !reliability_.detection.enabled || id >= node_count()) {
+  if (!reliable_ || id >= node_count()) {
     return cluster::PeerHealth::kAlive;
   }
   std::size_t dead = 0;
@@ -757,7 +762,7 @@ void ClusterSim::poll_heal(sim::Time mark) {
 }
 
 bool ClusterSim::survivor_views_converged() const {
-  if (!reliability_.enabled || !reliability_.detection.enabled) {
+  if (!reliable_) {
     return true;  // no views to converge
   }
   // Views only exist inside a zone (that is the gossip domain), so

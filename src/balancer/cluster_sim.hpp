@@ -70,11 +70,14 @@ class ProcessHost {
   // Frozen on a crashed node until recover_to_home runs (a balancer's job).
   [[nodiscard]] bool stranded() const { return stranded_; }
 
-  // Move the process to `dst`; a no-op if not currently migratable.
+  // Move the process to `dst`; true iff the move was issued. Refused (a
+  // no-op returning false) when the process is not migratable, when `dst`
+  // is its home node, a crashed node without the reliable protocol, or —
+  // in a Checkpoint world — when either end is the file server.
   // `on_done`, if given, receives the hop's result once it commits or
   // aborts. Mutates cross-partition placement and world load accounting.
   // ampom: global-only
-  void migrate_to(net::NodeId dst,
+  bool migrate_to(net::NodeId dst,
                   std::function<void(const migration::MigrationResult&)> on_done = {});
 
   // Failure recovery: the node the process runs on died. The deputy reclaims
@@ -145,7 +148,7 @@ class ClusterSim : public cluster::ClusterView {
   // Builds the world a validated Scenario describes: its topology, or the
   // paper's testbed when it names none (see world_topology in the .cpp),
   // the environment knobs (shaped home-destination link, destination CPU
-  // load, background traffic into the destination), the reliability config
+  // load, background traffic into the destination), the reliable switch
   // and the fault plan. Spawn jobs, then run.
   explicit ClusterSim(const driver::Scenario& scenario);
   // Single-zone, all-pairs-mesh convenience (the pre-gossip shape): a
@@ -177,10 +180,15 @@ class ClusterSim : public cluster::ClusterView {
   // crash_node so the processes on the dying node are interrupted too.
   // Call before run().
   void set_fault_plan(const driver::FaultPlan& plan);
-  // Enable the reliable protocol variants (paging retransmission, ack'd
-  // migration, heartbeat failure detection). Call before spawning jobs.
-  void set_reliability(const driver::ReliabilityConfig& config);
-  [[nodiscard]] const driver::ReliabilityConfig& reliability() const { return reliability_; }
+  // Switch every protocol layer to its reliable variant at once: paging
+  // retransmission, ack'd migration and heartbeat failure detection. Call
+  // before spawning jobs.
+  void set_reliable(bool enabled);
+  [[nodiscard]] bool reliable() const { return reliable_; }
+  // Verification self-test: reliable migrations commit before the ack and
+  // skip the abort rollback (MigrationContext::mutate_skip_abort_rollback).
+  // Only the auditor's and the fuzzer's mutation runs call this.
+  void mutate_skip_abort_rollback() { mutate_skip_abort_rollback_ = true; }
   [[nodiscard]] net::FaultInjector* fault_injector() { return injector_.get(); }
 
   // Crash `id` now: the injector suppresses all its traffic, and every
@@ -358,7 +366,8 @@ class ClusterSim : public cluster::ClusterView {
   core::AmpomPolicy::TraceHook ampom_trace_;
   cluster::Topology topology_;
   cluster::GossipConfig gossip_;
-  driver::ReliabilityConfig reliability_;
+  bool reliable_{false};
+  bool mutate_skip_abort_rollback_{false};
   // Per-process knobs every ProcessHost applies (see its constructor).
   std::uint64_t ram_limit_pages_;
   bool home_dependency_;

@@ -73,14 +73,14 @@ double LoadBalancer::dest_score(net::NodeId src, net::NodeId dst, double load,
       // rounds) amortized over the balancing horizon, in load units.
       const double transfer_seconds = config_.assumed_freeze_seconds +
                                       view_.rtt_one_way(src, dst).sec() * kEq3TransferRounds;
-      return load + transfer_seconds / config_.horizon_seconds;
+      return load + transfer_seconds / kHorizonSeconds;
     }
     case driver::Placement::kCacheAware:
       // Eq.-3 shape with a measured cost: the CPMD warm-up the migrant
       // would pay on this destination's LLC (calibration curve scaled by
       // resident pressure), plus the contention of the NUMA domain it
       // would land in. Both read 0 while the cache model is off.
-      return load + world_.predicted_warmup(wss, dst).sec() / config_.horizon_seconds +
+      return load + world_.predicted_warmup(wss, dst).sec() / kHorizonSeconds +
              world_.numa_contention(dst);
   }
   return load;
@@ -95,8 +95,7 @@ LoadBalancer::ZoneScan LoadBalancer::scan_zone(std::uint32_t zone) const {
   scan.best_score = std::numeric_limits<double>::max();
   // Pass 1: the busiest alive node (the migration source).
   for (net::NodeId id = view_.zone_begin(zone); id < view_.zone_end(zone); ++id) {
-    if (config_.respect_failure_detection &&
-        view_.health(id) != cluster::PeerHealth::kAlive) {
+    if (view_.health(id) != cluster::PeerHealth::kAlive) {
       continue;
     }
     scan.found = true;
@@ -118,8 +117,7 @@ LoadBalancer::ZoneScan LoadBalancer::scan_zone(std::uint32_t zone) const {
                              : 0;
   scan.idlest = scan.busiest;
   for (net::NodeId id = view_.zone_begin(zone); id < view_.zone_end(zone); ++id) {
-    if (config_.respect_failure_detection &&
-        view_.health(id) != cluster::PeerHealth::kAlive) {
+    if (view_.health(id) != cluster::PeerHealth::kAlive) {
       continue;
     }
     if (config_.placement != driver::Placement::kLoad && id == scan.busiest) {
@@ -144,17 +142,16 @@ bool LoadBalancer::worth_moving(double max_load, double min_load) const {
   // Worth it? Moving one process gains roughly its share improvement over
   // the horizon; it costs one freeze.
   const double gain =
-      config_.horizon_seconds * (1.0 / (min_load + 1.0) - 1.0 / max_load);
+      kHorizonSeconds * (1.0 / (min_load + 1.0) - 1.0 / max_load);
   return gain > config_.assumed_freeze_seconds;
 }
 
 bool LoadBalancer::move_one(net::NodeId from, net::NodeId to) {
   for (ProcessHost* host : world_.hosts_on(from)) {
-    // A process whose home is the destination is skipped: migrate_to refuses
-    // live returns home (that is the recovery path), so picking it would
-    // burn the tick's one move on a no-op.
-    if (host->migratable() && host->home_node() != to) {
-      host->migrate_to(to);
+    // migrate_to refuses moves the engines cannot make (a live return home,
+    // a Checkpoint world's file server as either end); those hosts are
+    // skipped instead of burning the tick's one move on a no-op.
+    if (host->migrate_to(to)) {
       ++decisions_;
       return true;
     }
@@ -176,9 +173,7 @@ void LoadBalancer::tick() {
 }
 
 void LoadBalancer::single_zone_tick() {
-  if (config_.respect_failure_detection) {
-    reclaim_stranded();
-  }
+  reclaim_stranded();
 
   // Damping: while a migration is in flight the load vector is stale (the
   // migrant still counts at its source); deciding now causes ping-pong
@@ -199,9 +194,7 @@ void LoadBalancer::single_zone_tick() {
 void LoadBalancer::zoned_tick() {
   // Reclaim is zone-agnostic (a stranded migrant is stranded wherever it
   // is), so it runs before any damping decision, like the single-zone path.
-  if (config_.respect_failure_detection) {
-    reclaim_stranded();
-  }
+  reclaim_stranded();
 
   const std::uint32_t zones = view_.zone_count();
   std::vector<ZoneScan> scans(zones);

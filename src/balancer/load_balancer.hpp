@@ -12,6 +12,11 @@
 // intra-zone pass saturated — it could not move anything internally.
 // Single-zone worlds take the exact pre-zoning code path.
 //
+// Every tick consults the cluster's failure-detection consensus: nodes not
+// kAlive are excluded as migration sources/destinations, and a migrant
+// stranded on a kDead node is reclaimed to its home node. Without the
+// reliable protocols every node reads kAlive.
+//
 // The knob that matters is `assumed_freeze_seconds`: a migration is only
 // worth its freeze time. With openMosix's multi-second freezes the balancer
 // must be conservative; with AMPoM's sub-second freezes it can chase much
@@ -27,19 +32,15 @@ namespace ampom::balancer {
 
 class LoadBalancer {
  public:
+  // Expected remaining seconds of imbalance a migration must outweigh.
+  static constexpr double kHorizonSeconds = 10.0;
+
   struct Config {
     sim::Time period{sim::Time::from_ms(750)};
     double imbalance_threshold{1.5};  // min load difference to act
     // Estimated freeze cost (seconds) a migration must amortize; policies
     // set this from their mechanism (openMosix: seconds; AMPoM: ~0.2).
     double assumed_freeze_seconds{0.0};
-    // Expected remaining seconds of imbalance a migration must outweigh.
-    double horizon_seconds{10.0};
-    // Consult the cluster's failure-detection consensus each tick: nodes
-    // not kAlive are excluded as migration sources/destinations, and a
-    // migrant stranded on a kDead node is reclaimed to its home node. Only
-    // effective when the world's ReliabilityConfig enables detection.
-    bool respect_failure_detection{true};
     // Destination-scoring policy (driver/scenario.hpp). kLoad keeps the
     // classic least-loaded pick bit-identical; kEq3 folds the paper's Eq.-3
     // transfer cost into the score; kCacheAware additionally charges the
@@ -92,8 +93,8 @@ class LoadBalancer {
                                   sim::Bytes wss) const;
   // Working set of the host move_one would pick on `from` (0 if none).
   [[nodiscard]] sim::Bytes candidate_wss(net::NodeId from) const;
-  // Migrate the lowest-pid migratable host on `from` to `to`; true if one
-  // was found and the move was issued.
+  // Migrate the lowest-pid host on `from` that migrate_to accepts to `to`;
+  // true if one was found and the move was issued.
   bool move_one(net::NodeId from, net::NodeId to);
 
   ClusterSim& world_;

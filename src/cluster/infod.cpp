@@ -109,7 +109,7 @@ void InfoDaemon::legacy_tick(double load) {
 
 void InfoDaemon::gossip_tick(double load) {
   const std::vector<net::GossipEntry> digest = build_digest(load);
-  sim::Rng rng{mix64(mix64(gossip_.seed ^ (static_cast<std::uint64_t>(self_) + 1)) ^
+  sim::Rng rng{mix64(mix64(kGossipSeed ^ (static_cast<std::uint64_t>(self_) + 1)) ^
                      tick_index_)};
   // fan_out distinct peers, drawn with rejection (fan_out << peer count on
   // the gossip path, so redraws are rare and the loop is bounded). The
@@ -146,19 +146,19 @@ void InfoDaemon::gossip_tick(double load) {
 }
 
 std::vector<net::GossipEntry> InfoDaemon::build_digest(double /*load*/) const {
-  // Relay up to digest_cap recently-advanced entries. The scan starts at a
+  // Relay up to kDigestCap recently-advanced entries. The scan starts at a
   // tick-rotated offset so a full digest under churn does not starve
   // high-id peers; staleness ages entries out (a dead origin's version
   // stops advancing, so its entry drops from circulation after
-  // digest_age_periods and the silence-based detector takes over).
+  // kDigestAgePeriods and the silence-based detector takes over).
   std::vector<net::GossipEntry> digest;
   if (peers_.empty()) {
     return digest;
   }
-  const sim::Time age_limit = period_.scaled(gossip_.digest_age_periods);
+  const sim::Time age_limit = period_.scaled(kDigestAgePeriods);
   const sim::Time now = sim_.now();
   const std::size_t start = static_cast<std::size_t>(tick_index_) % peers_.size();
-  for (std::size_t i = 0; i < peers_.size() && digest.size() < gossip_.digest_cap; ++i) {
+  for (std::size_t i = 0; i < peers_.size() && digest.size() < kDigestCap; ++i) {
     const net::NodeId peer = peers_[(start + i) % peers_.size()];
     const PeerState* st = find_state(peer);
     if (st == nullptr || !st->heard || st->version == 0) {
@@ -235,7 +235,7 @@ std::uint64_t InfoDaemon::peer_version(net::NodeId peer) const {
 }
 
 PeerHealth InfoDaemon::peer_health(net::NodeId peer) const {
-  if (!detection_.enabled || !started_) {
+  if (!detection_ || !started_) {
     return PeerHealth::kAlive;
   }
   const PeerState* st = find_state(peer);
@@ -246,10 +246,10 @@ PeerHealth InfoDaemon::peer_health(net::NodeId peer) const {
     baseline = st->last_heard;
   }
   const sim::Time silence = sim_.now() - baseline;
-  if (silence >= period_.scaled(detection_.dead_periods)) {
+  if (silence >= period_.scaled(kDeadPeriods)) {
     return PeerHealth::kDead;
   }
-  if (silence >= period_.scaled(detection_.suspect_periods)) {
+  if (silence >= period_.scaled(kSuspectPeriods)) {
     return PeerHealth::kSuspected;
   }
   return PeerHealth::kAlive;

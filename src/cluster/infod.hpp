@@ -28,31 +28,30 @@
 namespace ampom::cluster {
 
 // Heartbeat-based failure detection thresholds, as multiples of the gossip
-// period: a peer silent for suspect_periods is Suspected (skip it for new
-// placements), for dead_periods it is Dead (reclaim its migrants). Health
+// period: a peer silent for kSuspectPeriods is Suspected (skip it for new
+// placements), for kDeadPeriods it is Dead (reclaim its migrants). Health
 // is computed lazily from the last-heard timestamp — detection adds no
 // events and no wire traffic, so it is free on the happy path. Under
 // gossip, "heard" means the peer's version counter advanced (directly or
 // through a relayed digest entry), so the same thresholds apply unchanged.
-struct FailureDetection {
-  bool enabled{false};
-  double suspect_periods{3.0};
-  double dead_periods{8.0};
-};
+inline constexpr double kSuspectPeriods = 3.0;
+inline constexpr double kDeadPeriods = 8.0;
 
-// Epidemic dissemination knobs. `seed` feeds the per-(node, tick) peer
-// selection only — never the message RNG — so enabling gossip on one node
-// cannot perturb any other stochastic element of a run.
+// Gossip digests: an entry whose version last advanced more than
+// kDigestAgePeriods ago is stale and no longer relayed (a dead node's entry
+// ages out instead of circulating forever); a ping relays at most
+// kDigestCap entries (its own excluded). kGossipSeed feeds the per-(node,
+// tick) peer selection only — never the message RNG — so enabling gossip
+// on one node cannot perturb any other stochastic element of a run.
+inline constexpr double kDigestAgePeriods = 8.0;
+inline constexpr std::uint32_t kDigestCap = 32;
+inline constexpr std::uint64_t kGossipSeed = 0x9E3779B97F4A7C15ULL;
+
+// Epidemic dissemination knobs.
 struct GossipConfig {
   bool enabled{false};
   std::uint32_t fan_out{2};
   sim::Time period{};  // zero = keep the daemon's own period
-  // Digest aging: an entry whose version last advanced more than
-  // digest_age_periods ago is stale and no longer relayed (a dead node's
-  // entry ages out instead of circulating forever).
-  double digest_age_periods{8.0};
-  std::uint32_t digest_cap{32};  // max relayed entries per ping (own excluded)
-  std::uint64_t seed{0x9E3779B97F4A7C15ULL};
   // Carry per-node cache pressure in digests (32 wire bytes per entry
   // instead of 24). Off by default so existing gossip runs stay
   // bit-identical; the degenerate full-fan-out tick keeps gossiping (instead
@@ -97,8 +96,7 @@ class InfoDaemon {
   [[nodiscard]] std::uint64_t peer_version(net::NodeId peer) const;
 
   // --- failure detection ----------------------------------------------------
-  void set_failure_detection(FailureDetection config) { detection_ = config; }
-  [[nodiscard]] const FailureDetection& failure_detection() const { return detection_; }
+  void set_failure_detection(bool enabled) { detection_ = enabled; }
   // Health judged from the silence since the peer was last heard (ping,
   // ack, or gossip version advance). Always kAlive while detection is
   // disabled or before start().
@@ -171,7 +169,7 @@ class InfoDaemon {
   std::uint64_t self_version_{0};  // bumped each gossip tick (the heartbeat)
   std::uint64_t tick_index_{0};
 
-  FailureDetection detection_;
+  bool detection_{false};
   sim::Time started_at_{};
   bool started_{false};
 

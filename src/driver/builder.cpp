@@ -34,10 +34,10 @@ std::string ScenarioBuilder::validate() const {
              "not have";
     }
   }
-  if (s.faults.active() && !s.reliability.enabled) {
+  if (s.faults.active() && !s.reliable) {
     return "ScenarioBuilder: fault plan is active but reliability is off — lost messages "
-           "would never be retransmitted and the run would hang; set "
-           "reliability(ReliabilityConfig::all_on()) or clear the fault plan";
+           "would never be retransmitted and the run would hang; set reliable() or clear "
+           "the fault plan";
   }
   const bool remigrates = s.remigrate_after > sim::Time::zero();
   if (remigrates && s.background_traffic > 0.0) {
@@ -54,7 +54,7 @@ std::string ScenarioBuilder::validate() const {
   if (s.dest_background_load < 0.0 || s.dest_background_load >= 1.0) {
     return "ScenarioBuilder: dest_background_load must be a fraction in [0, 1)";
   }
-  if (s.exec.parallel_run()) {
+  if (s.workers >= 1) {
     if (!cluster_mode) {
       return "ScenarioBuilder: workers() requires topology() — intra-run parallelism "
              "partitions the cluster world by zone; single-process experiments are serial";
@@ -75,14 +75,6 @@ std::string ScenarioBuilder::validate() const {
     if (s.hierarchy.llc_bytes == 0) {
       return "ScenarioBuilder: cache_model() needs a positive LLC capacity";
     }
-  }
-  if (s.placement != Placement::kLoad && !cluster_mode) {
-    return "ScenarioBuilder: placement() is a cluster-world balancer knob — it requires "
-           "topology()";
-  }
-  if (s.placement == Placement::kCacheAware && !s.hierarchy.enabled) {
-    return "ScenarioBuilder: placement(kCacheAware) scores destinations against the "
-           "memory-hierarchy model — enable cache_model() too";
   }
   if (!s.cpmd_calibration.empty() && !s.hierarchy.enabled) {
     return "ScenarioBuilder: cpmd_calibration() is only read when cache_model() is "

@@ -11,7 +11,7 @@
 //   auto s = ScenarioBuilder{}
 //                .scheme(Scheme::Ampom)
 //                .hpcc_workload(workload::HpccKernel::Stream, 129)
-//                .reliability(ReliabilityConfig::all_on())
+//                .reliable()
 //                .tracing()
 //                .build();  // throws std::invalid_argument on bad combos
 
@@ -79,7 +79,7 @@ class ScenarioBuilder {
     return *this;
   }
 
-  // --- memory hierarchy / placement policy ----------------------------------
+  // --- memory hierarchy ------------------------------------------------------
   // Attach the per-node memory-hierarchy model (mem/hierarchy.hpp); enables
   // cache-pressure tracking and CPMD warm-up charges on every migration.
   // The overload with a config tweaks LLC capacity / NUMA domain count.
@@ -90,12 +90,6 @@ class ScenarioBuilder {
   ScenarioBuilder& cache_model(mem::HierarchyConfig value) {
     scenario_.hierarchy = value;
     scenario_.hierarchy.enabled = true;
-    return *this;
-  }
-
-  // Balancer destination-scoring policy; kCacheAware requires cache_model().
-  ScenarioBuilder& placement(Placement value) {
-    scenario_.placement = value;
     return *this;
   }
 
@@ -129,16 +123,6 @@ class ScenarioBuilder {
 
   ScenarioBuilder& home_dependency(bool enabled) {
     scenario_.home_dependency = enabled;
-    return *this;
-  }
-
-  ScenarioBuilder& warmup(sim::Time value) {
-    scenario_.warmup = value;
-    return *this;
-  }
-
-  ScenarioBuilder& migrate_after(sim::Time value) {
-    scenario_.migrate_after = value;
     return *this;
   }
 
@@ -205,15 +189,10 @@ class ScenarioBuilder {
     return *this;
   }
 
-  ScenarioBuilder& reliability(ReliabilityConfig value) {
-    scenario_.reliability = value;
-    return *this;
-  }
-
-  // --- execution policy ------------------------------------------------------
-  // Sweep-pool width for batch drivers that consume this scenario's policy.
-  ScenarioBuilder& jobs(std::size_t value) {
-    scenario_.exec.jobs = value;
+  // The reliable protocol variants of every layer at once (paging
+  // retransmission, ack'd migration, heartbeat failure detection).
+  ScenarioBuilder& reliable(bool enabled = true) {
+    scenario_.reliable = enabled;
     return *this;
   }
 
@@ -222,12 +201,7 @@ class ScenarioBuilder {
   // least two zones (the zone is the partition). Any value >= 1 selects the
   // partitioned engine; the result is bit-identical for every worker count.
   ScenarioBuilder& workers(std::size_t value) {
-    scenario_.exec.workers = value;
-    return *this;
-  }
-
-  ScenarioBuilder& exec_policy(ExecPolicy value) {
-    scenario_.exec = value;
+    scenario_.workers = value;
     return *this;
   }
 

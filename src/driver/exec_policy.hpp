@@ -5,7 +5,8 @@
 //   jobs    — inter-run parallelism: how many scenarios a sweep pool runs
 //             concurrently (SweepExecutor, bench harness --jobs=N).
 //   workers — intra-run parallelism: how many OS threads one partitioned
-//             simulation uses (Simulator::configure_partitions, --workers=N).
+//             simulation uses (Simulator::configure_partitions, --workers=N);
+//             SweepExecutor copies it into every Scenario::workers left 0.
 //             0 selects the exact legacy single-queue engine; >= 1 selects
 //             the partitioned conservative engine, whose schedule is a pure
 //             function of the scenario — workers=1 and workers=N runs are
@@ -23,9 +24,6 @@ namespace ampom::driver {
 struct ExecPolicy {
   std::size_t jobs{1};     // sweep pool width; 0 = one per hardware thread
   std::size_t workers{0};  // simulator threads; 0 = legacy serial engine
-
-  // Whether a run under this policy uses the partitioned engine at all.
-  [[nodiscard]] bool parallel_run() const { return workers >= 1; }
 
   // Parses "--jobs=N" / "--workers=N" into the policy. Returns false when
   // `arg` is neither flag (the caller keeps handling its own options).

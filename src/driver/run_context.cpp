@@ -9,15 +9,14 @@ namespace ampom::driver {
 RunContext::RunContext(const Scenario& scenario, Options options)
     : logger_{options.log_level,
               options.capture_log ? static_cast<std::ostream*>(&capture_) : options.log_sink},
-      recorder_{std::make_unique<trace::TraceRecorder>(scenario.trace)},
-      exec_{scenario.exec} {
+      recorder_{std::make_unique<trace::TraceRecorder>(scenario.trace)} {
   if (!options.capture_log && options.log_sink == nullptr) {
     logger_ = sim::Logger{options.log_level};  // default sink: stderr
   }
   // A partitioned run records trace events from several worker threads; give
   // the recorder one shard per zone partition up front so no two partitions
   // ever share a buffer (trace/trace.hpp).
-  if (exec_.parallel_run() && scenario.topology.set() && scenario.topology.zones >= 2) {
+  if (scenario.workers >= 1 && scenario.topology.set() && scenario.topology.zones >= 2) {
     recorder_->enable_partition_shards(scenario.topology.zones);
   }
 }

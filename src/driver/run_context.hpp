@@ -53,10 +53,6 @@ class RunContext {
   [[nodiscard]] trace::TraceRecorder& trace() { return *recorder_; }
   [[nodiscard]] const trace::TraceRecorder& trace() const { return *recorder_; }
 
-  // The scenario's execution policy (jobs / workers), captured at
-  // construction so whoever drives the run reads one authoritative copy.
-  [[nodiscard]] const ExecPolicy& exec() const { return exec_; }
-
   // Everything the run logged, when Options::capture_log was set.
   [[nodiscard]] std::string captured_log() const { return capture_.str(); }
 
@@ -82,7 +78,6 @@ class RunContext {
   // Heap-allocated so the context stays movable-in-place for containers
   // even though instrumented components hold TraceRecorder*.
   std::unique_ptr<trace::TraceRecorder> recorder_;
-  ExecPolicy exec_{};
   std::vector<std::function<void(const RunMetrics&)>> sinks_;
 };
 

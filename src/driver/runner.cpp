@@ -13,6 +13,10 @@ namespace {
 constexpr net::NodeId kHome = 0;
 constexpr net::NodeId kDest = 1;
 constexpr net::NodeId kThird = 2;  // re-migration target
+// The job starts once the InfoDaemons have warmed up, and its first hop
+// follows right after the start.
+constexpr sim::Time kWarmup = sim::Time::from_sec(1.0);
+constexpr sim::Time kMigrateAfter = sim::Time::from_ms(1);
 }  // namespace
 
 RunMetrics run_experiment(const Scenario& scenario) { return Runner{}.run(scenario); }
@@ -46,7 +50,7 @@ RunMetrics detail::run_scenario(const Scenario& scenario, RunContext& run_ctx) {
   job.make_workload = scenario.make_workload;
   job.label = scenario.workload_label;
   job.home = kHome;
-  job.start = scenario.warmup;
+  job.start = kWarmup;
   balancer::ProcessHost& host = world.spawn(std::move(job));
 
   if (scenario.on_setup) {
@@ -58,7 +62,7 @@ RunMetrics detail::run_scenario(const Scenario& scenario, RunContext& run_ctx) {
   AMPOM_LOG(log, sim::LogLevel::Debug, sim.now(), "driver", "run start: %s %llu MiB, scheme %s",
             scenario.workload_label.c_str(),
             static_cast<unsigned long long>(scenario.memory_mib), scheme_name(scenario.scheme));
-  sim.schedule_at(scenario.warmup + scenario.migrate_after, [&] {
+  sim.schedule_at(kWarmup + kMigrateAfter, [&] {
     host.migrate_to(kDest, [&](const migration::MigrationResult& r) {
       migration_result = r;
       AMPOM_LOG(log, sim::LogLevel::Info, sim.now(), "migration",
@@ -107,7 +111,7 @@ RunMetrics detail::run_scenario(const Scenario& scenario, RunContext& run_ctx) {
   m.memory_mib = scenario.memory_mib;
   m.page_count = host.process().aspace().page_count();
 
-  m.total_time = es.finished_at - scenario.warmup;
+  m.total_time = es.finished_at - kWarmup;
   if (migration_result) {
     m.freeze_time = migration_result->freeze_time();
     m.pages_migrated = migration_result->pages_transferred;

@@ -2,8 +2,8 @@
 // Runner: the one-at-a-time experiment facade.
 //
 // A run builds the Scenario's balancer::ClusterSim (the paper's testbed
-// when it names no topology), spawns the one job on node 0 at `warmup` and
-// scripts its hops: 0 -> 1 `migrate_after` later and, when
+// when it names no topology), spawns the one job on node 0 after a 1 s
+// InfoDaemon warm-up and scripts its hops: 0 -> 1 1 ms later and, when
 // `remigrate_after` is set, 1 -> 2 that long after the first hop lands.
 // Each run() also constructs a fresh RunContext (per-run logger at the
 // configured level, trace recorder built from Scenario::trace, the

@@ -12,12 +12,9 @@
 #include "cluster/infod.hpp"
 #include "core/ampom_policy.hpp"
 #include "core/config.hpp"
-#include "driver/exec_policy.hpp"
 #include "driver/profile.hpp"
 #include "mem/hierarchy.hpp"
-#include "migration/engine.hpp"
 #include "net/fault_injector.hpp"
-#include "proc/paging_client.hpp"
 #include "proc/reference_stream.hpp"
 #include "trace/trace.hpp"
 
@@ -91,33 +88,6 @@ struct FaultPlan {
   }
 };
 
-// Reliability knobs for every protocol layer at once. Everything defaults
-// off: the classic fire-and-forget protocols remain event-exact with the
-// seed. `all_on()` is the chaos-scenario preset.
-struct ReliabilityConfig {
-  bool enabled{false};
-  proc::PagingRetryConfig paging{};             // request timers + retransmits
-  migration::MigrationReliability migration{};  // ack'd freeze chunks
-  cluster::FailureDetection detection{};        // heartbeat-silence health
-
-  [[nodiscard]] static ReliabilityConfig all_on() {
-    ReliabilityConfig r;
-    r.enabled = true;
-    r.paging.enabled = true;
-    // Chaos preset: survive long partitions instead of throwing when the
-    // legacy retry budget (~0.7 s of cumulative backoff) runs out before the
-    // 2 s dead-consensus threshold can trigger rehoming. The ceiling keeps
-    // the client probing at a bounded rate; the jitter decorrelates the
-    // heal-time probe burst across clients.
-    r.paging.backoff_ceiling = sim::Time::from_ms(500);
-    r.paging.jitter_fraction = 0.1;
-    r.paging.max_retries = 12;
-    r.migration.enabled = true;
-    r.detection.enabled = true;
-    return r;
-  }
-};
-
 // Balancer destination-scoring policy (ROADMAP item 1). kLoad is the
 // classic greedy least-loaded pick; kEq3 adds the paper's Eq.-3 flat
 // transfer-cost term (measured one-way latency amortized over the
@@ -179,11 +149,10 @@ struct Scenario {
   cluster::Topology topology{};
   cluster::GossipConfig gossip{};
 
-  // Memory-hierarchy model + placement policy (cluster worlds). Defaults
-  // keep the model off and the balancer on the classic load-greedy pick,
-  // bit-identical to runs predating the cost model.
+  // Memory-hierarchy model (cluster worlds). The default keeps it off,
+  // bit-identical to runs predating the cost model. The balancer's
+  // placement policy is LoadBalancer::Config::placement.
   mem::HierarchyConfig hierarchy{};
-  Placement placement{Placement::kLoad};
   std::string cpmd_calibration{};  // calibration file path; empty = built-in
 
   // Environment knobs. The destination is node 1, and the third node
@@ -194,26 +163,26 @@ struct Scenario {
   std::uint64_t ram_limit_pages{0};    // per-process RAM cap (0 = unlimited)
   bool home_dependency{true};          // redirect syscalls to the home node
 
-  // Process placement / timing.
-  sim::Time warmup{sim::Time::from_sec(1.0)};  // InfoDaemon warm-up before start
-  sim::Time migrate_after{sim::Time::from_ms(1)};  // after process start
   // Second hop (paper §1's "suboptimal decision" case): re-migrate the
   // process from the first destination to a third node this long after the
   // first migration completes. Zero = single migration. Unsupported
-  // together with background_traffic (the third node generates it).
+  // together with background_traffic (the third node generates it). The
+  // start and the first hop are fixed (driver/runner.hpp).
   sim::Time remigrate_after{sim::Time::zero()};
   std::uint64_t seed{1};
 
   // Fault injection + protocol reliability (both default off, leaving the
-  // run identical to the fault-free, fire-and-forget original).
+  // run identical to the fault-free, fire-and-forget original). `reliable`
+  // switches every layer at once: paging retransmission, ack'd migration
+  // chunks and heartbeat failure detection, each with fixed timings (see
+  // PagingClient, migration/engine.hpp and cluster/infod.hpp).
   FaultPlan faults{};
-  ReliabilityConfig reliability{};
+  bool reliable{false};
 
-  // Execution policy: sweep-pool width (jobs) and intra-run simulator
-  // threads (workers). workers >= 1 selects the partitioned engine for
-  // cluster worlds — requires a multi-zone topology; the zone is the
-  // partition (builder-validated). Default keeps the legacy serial engine.
-  ExecPolicy exec{};
+  // Intra-run simulator threads. workers >= 1 selects the partitioned
+  // engine for cluster worlds — requires a multi-zone topology; the zone is
+  // the partition (builder-validated). 0 keeps the legacy serial engine.
+  std::size_t workers{0};
 
   // Observability: per-fault trace of the AMPoM analysis (Ampom scheme only).
   core::AmpomPolicy::TraceHook ampom_trace;

@@ -47,8 +47,8 @@ std::vector<SweepExecutor::Outcome> SweepExecutor::run_all(
     Outcome& out = outcomes[i];
     try {
       Scenario scenario = cases[i]();
-      if (options_.exec.workers != 0 && scenario.exec.workers == 0) {
-        scenario.exec.workers = options_.exec.workers;
+      if (options_.exec.workers != 0 && scenario.workers == 0) {
+        scenario.workers = options_.exec.workers;
       }
       out.context = std::make_unique<RunContext>(scenario, ctx_options);
       out.metrics = detail::run_scenario(scenario, *out.context);

@@ -7,6 +7,7 @@
 // invoked with the process already frozen, move state across the fabric,
 // populate the deputy's HPT, and resume the executor at the destination.
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 
@@ -34,24 +35,18 @@ enum class MigrationOutcome : std::uint8_t {
   kDestinationLost,  // destination stopped acking; process unfrozen at source
 };
 
-// Reliable (ack'd) transfer knobs. The retransmit timer arms at the
-// predicted arrival of the last outstanding chunk plus ack_grace, doubling
-// (backoff_factor) per round; max_retries exhausted rounds declare the
-// destination lost.
-struct MigrationReliability {
-  bool enabled{false};
-  sim::Time ack_grace{sim::Time::from_ms(2)};
-  double backoff_factor{2.0};
-  std::uint32_t max_retries{4};
-  // Mutation knob for the verification layer's self-test: commit the page
-  // repartition *before* the transfer is acknowledged and skip the rollback
-  // when the destination is declared lost — the historical bug class the
-  // reliable path exists to prevent. An aborted migration then strands the
-  // carried pages' ownership at the dead destination, which the invariant
-  // auditor must flag and ampom_fuzz must shrink. Never set outside
-  // deliberate auditor/fuzzer mutation runs.
-  bool mutate_skip_abort_rollback{false};
-};
+// Reliable (ack'd) transfer timing. The retransmit timer arms at the
+// predicted arrival of the last outstanding chunk plus a grace period of
+// kAckGrace, doubling (kAckBackoff) per round; kAckMaxRetries exhausted
+// rounds declare the destination lost.
+inline constexpr sim::Time kAckGrace = sim::Time::from_ms(2);
+inline constexpr double kAckBackoff = 2.0;
+inline constexpr std::uint32_t kAckMaxRetries = 4;
+
+// Grace window after the predicted last arrival in retransmit round `round`.
+[[nodiscard]] inline sim::Time ack_grace(std::uint32_t round) {
+  return kAckGrace.scaled(std::pow(kAckBackoff, static_cast<double>(round)));
+}
 
 struct MigrationContext {
   sim::Simulator& sim;
@@ -69,18 +64,23 @@ struct MigrationContext {
   // builders install the fault policy and flip syscall redirection here.
   std::function<void()> on_before_resume;
   // Reliable mode (optional): the node routers at both ends carry the ack'd
-  // chunk protocol. Null nodes or reliability.enabled == false selects the
-  // classic fire-and-forget timeline, byte-identical to the seed engines.
+  // chunk protocol. Null nodes select the classic fire-and-forget timeline,
+  // byte-identical to the seed engines.
   cluster::Node* src_node{nullptr};
   cluster::Node* dst_node{nullptr};
-  MigrationReliability reliability;
+  // Verification self-test only: commit the page repartition *before* the
+  // transfer is acknowledged and skip the rollback when the destination is
+  // declared lost — the historical bug class the reliable path exists to
+  // prevent. An aborted migration then strands the carried pages' ownership
+  // at the dead destination, which the invariant auditor must flag and
+  // ampom_fuzz must shrink. Set only by deliberate mutation runs
+  // (ClusterSim::mutate_skip_abort_rollback).
+  bool mutate_skip_abort_rollback{false};
   // Observability (optional, not owned): migration/phase spans and per-round
   // retransmission markers, correlated by pid. Null = untouched timeline.
   trace::TraceRecorder* trace{nullptr};
 
-  [[nodiscard]] bool reliable() const {
-    return reliability.enabled && src_node != nullptr && dst_node != nullptr;
-  }
+  [[nodiscard]] bool reliable() const { return src_node != nullptr && dst_node != nullptr; }
 };
 
 struct MigrationResult {

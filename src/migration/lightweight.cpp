@@ -137,7 +137,7 @@ void LightweightEngineBase::run_freeze(MigrationContext ctx, std::vector<mem::Pa
   // The mutation knob reintroduces the bug this ordering prevents: partition
   // eagerly, and on a lost destination resume without rolling the ownership
   // back — exactly what the auditor's abort-trigger check must catch.
-  const bool mutate_early_commit = ctx.reliability.mutate_skip_abort_rollback;
+  const bool mutate_early_commit = ctx.mutate_skip_abort_rollback;
   if (mutate_early_commit) {
     apply_partition(ctx, carried);
   }

@@ -1,6 +1,5 @@
 #include "migration/reliable.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "cluster/node.hpp"
@@ -17,7 +16,6 @@ ReliableTransfer::ReliableTransfer(const MigrationContext& ctx, std::vector<Item
       pid_{ctx.process.pid()},
       src_node_{ctx.src_node},
       dst_node_{ctx.dst_node},
-      config_{ctx.reliability},
       trace_{ctx.trace},
       items_{std::move(items)},
       acked_(items_.size(), false),
@@ -31,7 +29,7 @@ void ReliableTransfer::run(const MigrationContext& ctx, std::vector<Item> items,
                            std::function<void(sim::Time, const ReliableTransferStats&)> on_delivered,
                            std::function<void(const ReliableTransferStats&)> on_lost) {
   if (!ctx.reliable()) {
-    throw std::logic_error("ReliableTransfer::run without reliable context (nodes + config)");
+    throw std::logic_error("ReliableTransfer::run without reliable context (both node routers)");
   }
   auto self = std::shared_ptr<ReliableTransfer>(new ReliableTransfer(ctx, std::move(items)));
   self->self_ = self;
@@ -75,9 +73,7 @@ void ReliableTransfer::send_round() {
   }
   // Arm the round timer past the predicted arrival of the slowest chunk,
   // plus a grace window for the ack leg that widens per round.
-  const sim::Time grace =
-      config_.ack_grace.scaled(std::pow(config_.backoff_factor, static_cast<double>(rounds_)));
-  timer_ = sim_.schedule_at(last_predicted + grace, [self = shared_from_this()] {
+  timer_ = sim_.schedule_at(last_predicted + ack_grace(rounds_), [self = shared_from_this()] {
     self->on_timeout();
   });
 }
@@ -126,7 +122,7 @@ void ReliableTransfer::on_timeout() {
   }
   ++stats_.timeout_rounds;
   ++rounds_;
-  if (rounds_ > config_.max_retries) {
+  if (rounds_ > kAckMaxRetries) {
     const bool lost = !delivered_;
     auto lost_cb = std::move(on_lost_);  // cleanup() clears the members
     cleanup();

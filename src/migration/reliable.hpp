@@ -5,7 +5,7 @@
 // destination's node router acks each one (control-size MigrationAck). A
 // source-side timer armed at the predicted arrival of the last outstanding
 // chunk plus an ack grace period retransmits whatever is still unacked,
-// backing off per round; exhausting max_retries declares the destination
+// backing off per round; exhausting kAckMaxRetries declares the destination
 // lost. Delivery completion is judged at the destination (all chunks
 // actually received), so the engine resumes the process only on state it
 // really has — on a fault-free run that instant equals the classic
@@ -46,7 +46,7 @@ class ReliableTransfer : public std::enable_shared_from_this<ReliableTransfer> {
 
   // Starts the transfer now. `on_delivered` fires when the last chunk lands
   // at the destination (destination-side time); `on_lost` fires at the
-  // source after max_retries exhausted timeout rounds with the destination
+  // source after kAckMaxRetries exhausted timeout rounds with the destination
   // never having completed. Exactly one of the two fires, once.
   static void run(const MigrationContext& ctx, std::vector<Item> items,
                   std::function<void(sim::Time, const ReliableTransferStats&)> on_delivered,
@@ -69,7 +69,6 @@ class ReliableTransfer : public std::enable_shared_from_this<ReliableTransfer> {
   std::uint64_t pid_;
   cluster::Node* src_node_;
   cluster::Node* dst_node_;
-  MigrationReliability config_;
   trace::TraceRecorder* trace_;
 
   std::vector<Item> items_;

@@ -1,7 +1,6 @@
 #include "migration/remigration.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -56,7 +55,6 @@ class FlushTracker : public std::enable_shared_from_this<FlushTracker> {
         home_{home},
         pid_{ctx.process.pid()},
         src_node_{ctx.src_node},
-        config_{ctx.reliability},
         trace_{ctx.trace},
         sink_{sink},
         chunk_count_{chunk_count},
@@ -76,9 +74,7 @@ class FlushTracker : public std::enable_shared_from_this<FlushTracker> {
   }
 
   void arm() {
-    const sim::Time grace = config_.ack_grace.scaled(
-        std::pow(config_.backoff_factor, static_cast<double>(rounds_)));
-    timer_ = sim_.schedule_at(std::max(last_predicted_, sim_.now()) + grace,
+    timer_ = sim_.schedule_at(std::max(last_predicted_, sim_.now()) + ack_grace(rounds_),
                               [self = shared_from_this()] { self->on_timeout(); });
   }
 
@@ -88,7 +84,7 @@ class FlushTracker : public std::enable_shared_from_this<FlushTracker> {
     }
     ++sink_->timeout_rounds;
     ++rounds_;
-    if (rounds_ > config_.max_retries) {
+    if (rounds_ > kAckMaxRetries) {
       sink_->abandoned += outstanding_.size();
       cleanup();
       return;
@@ -119,7 +115,6 @@ class FlushTracker : public std::enable_shared_from_this<FlushTracker> {
   net::NodeId home_;
   std::uint64_t pid_;
   cluster::Node* src_node_;
-  MigrationReliability config_;
   trace::TraceRecorder* trace_;
   RemigrationEngine::FlushStats* sink_;
   std::uint64_t chunk_count_;

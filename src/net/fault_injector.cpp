@@ -59,13 +59,6 @@ bool FaultInjector::node_crashed(NodeId node) const {
   return crashed_.size() > node && crashed_[node];
 }
 
-void FaultInjector::schedule_node_crash(NodeId node, sim::Time at, sim::Time restore_at) {
-  sim_.schedule_at(at, [this, node] { crash_node(node); });
-  if (restore_at > sim::Time::zero()) {
-    sim_.schedule_at(restore_at, [this, node] { restore_node(node); });
-  }
-}
-
 void FaultInjector::enable_keyed_mode(std::size_t node_count, std::uint32_t partitions) {
   FaultInjectorStats seen_any;
   for (const FaultInjectorStats& s : stat_shards_) {

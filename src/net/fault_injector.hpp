@@ -78,8 +78,6 @@ class FaultInjector {
   void crash_node(NodeId node);
   void restore_node(NodeId node);
   [[nodiscard]] bool node_crashed(NodeId node) const;
-  // Crash at `at`; restore at `restore_at` (zero = stays down forever).
-  void schedule_node_crash(NodeId node, sim::Time at, sim::Time restore_at = {});
 
   // --- the per-message decision (called by Fabric::send) --------------------
   struct Decision {

@@ -49,8 +49,7 @@ class Deputy {
   // cost) without re-transferring ledger ownership, and answer flushed
   // pages with a FlushAck. Off by default — the classic deputy treats a
   // duplicate request as a protocol violation and keeps throwing.
-  void set_reliability(bool enabled) { reliable_ = enabled; }
-  [[nodiscard]] bool reliability() const { return reliable_; }
+  void set_reliable(bool enabled) { reliable_ = enabled; }
 
   // Failure recovery: the node holding this process's remote pages crashed.
   // Reclaims every page the HPT does not mark Here (the authoritative copies

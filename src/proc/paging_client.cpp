@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "simcore/fmt.hpp"
-
 namespace ampom::proc {
 
 namespace {
@@ -52,7 +50,7 @@ void PagingClient::request_pages(const std::vector<mem::PageId>& pages, mem::Pag
   }
   stats_.pages_requested += pages.size();
 
-  if (retry_.enabled) {
+  if (reliable_) {
     Pending pending;
     pending.pages = pages;
     pending.urgent = urgent;
@@ -82,10 +80,9 @@ void PagingClient::request_pages(const std::vector<mem::PageId>& pages, mem::Pag
 sim::Time PagingClient::base_timeout() const {
   const sim::Time rtt = rtt_provider_ ? rtt_provider_() : sim::Time::zero();
   if (rtt <= sim::Time::zero()) {
-    return retry_.min_timeout;
+    return kMinTimeout;
   }
-  const sim::Time scaled = rtt.scaled(retry_.rtt_multiplier);
-  return std::clamp(scaled, retry_.min_timeout, retry_.max_timeout);
+  return std::clamp(rtt.scaled(kRttMultiplier), kMinTimeout, kMaxTimeout);
 }
 
 void PagingClient::arm_timer(std::uint64_t request_id, Pending& pending) {
@@ -98,21 +95,14 @@ void PagingClient::arm_timer(std::uint64_t request_id, Pending& pending) {
   for (const auto& entry : outstanding_) {
     backlog += entry.second.pages.size();
   }
-  const sim::Time service =
-      retry_.per_page_allowance * static_cast<std::int64_t>(backlog);
+  const sim::Time service = kPerPageAllowance * static_cast<std::int64_t>(backlog);
   const sim::Time grown =
-      (base_timeout() + service).scaled(std::pow(retry_.backoff_factor, pending.retries));
-  // The ceiling, when set, bounds how far backoff can stretch the silence
-  // threshold; otherwise the legacy bound (max_timeout) applies.
-  const sim::Time cap =
-      retry_.backoff_ceiling > sim::Time::zero() ? retry_.backoff_ceiling : retry_.max_timeout;
-  sim::Time timeout = std::min(grown, cap + service);
-  if (retry_.jitter_fraction > 0.0) {
-    const double unit =
-        static_cast<double>(jitter_hash(request_id, pending.retries, self_node_, pid_) >> 11) *
-        0x1.0p-53;  // 53 high bits -> [0, 1)
-    timeout = timeout.scaled(1.0 + retry_.jitter_fraction * unit);
-  }
+      (base_timeout() + service).scaled(std::pow(kBackoffFactor, pending.retries));
+  const double unit =
+      static_cast<double>(jitter_hash(request_id, pending.retries, self_node_, pid_) >> 11) *
+      0x1.0p-53;  // 53 high bits -> [0, 1)
+  const sim::Time timeout =
+      std::min(grown, kBackoffCeiling + service).scaled(1.0 + kJitterFraction * unit);
   pending.timer =
       sim_.schedule_after(timeout, [this, request_id] { on_timeout(request_id); });
 }
@@ -124,17 +114,10 @@ void PagingClient::on_timeout(std::uint64_t request_id) {
   }
   Pending& pending = it->second;
   ++stats_.timeouts;
-  if (pending.retries >= retry_.max_retries) {
-    if (retry_.backoff_ceiling <= sim::Time::zero()) {
-      throw std::runtime_error(sim::strfmt(
-          "PagingClient: request %llu exceeded %u retries — home node unreachable?",
-          static_cast<unsigned long long>(request_id), retry_.max_retries));
-    }
-    // Ceiling mode: keep probing at the capped rate. The retry count stays
-    // pinned so the backoff exponent (and thus the probe spacing) is stable
-    // for however long the outage lasts; recovery is the home node's or the
-    // harness's job (rehoming, heal), not this timer's.
-  } else {
+  // Past kMaxRetries the retry count stays pinned, so the backoff exponent
+  // (and thus the probe spacing) is stable for however long the outage
+  // lasts; recovery is the balancer's job (rehoming, heal), not this timer's.
+  if (pending.retries < kMaxRetries) {
     pending.retries += 1;
   }
   ++stats_.retransmits;
@@ -166,7 +149,7 @@ void PagingClient::on_page_data(const net::PageData& data) {
   if (data.pid != pid_) {
     throw std::logic_error("PagingClient: page data for a different process");
   }
-  if (retry_.enabled) {
+  if (reliable_) {
     const auto it = outstanding_.find(data.request_id);
     if (it == outstanding_.end()) {
       // Whole request already satisfied: a duplicated frame or a retransmit

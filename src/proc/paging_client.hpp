@@ -2,7 +2,7 @@
 // Migrant-side remote-paging transport: batches page requests to the home
 // node's deputy and dispatches PageData arrivals to the fault policy.
 //
-// With reliability enabled (see PagingRetryConfig) each request is tracked
+// With reliability enabled (set_reliable) each request is tracked
 // until every page it named has arrived: a per-request timer derived from
 // the InfoDaemon's RTT estimate retransmits the still-missing pages with
 // exponential backoff, and page arrivals the tracker has already seen
@@ -31,45 +31,42 @@ struct PagingClientStats {
   std::uint64_t pages_arrived{0};
   // Reliability counters (all zero when reliability is off).
   std::uint64_t retransmits{0};          // requests re-sent after a timeout
-  std::uint64_t timeouts{0};             // timer expiries (== retransmits unless capped)
+  std::uint64_t timeouts{0};             // timer expiries (each one retransmits)
   std::uint64_t duplicates_dropped{0};   // PageData arrivals already satisfied
   std::uint64_t pages_retransmitted{0};  // pages named across all retransmits
 };
 
-// Timeout/backoff policy for reliable paging. The timer detects *silence*,
-// not slow service: the base timeout is
-//   clamp(rtt_multiplier * rtt_estimate, min_timeout, max_timeout)
-//     + missing_pages * per_page_allowance
-// (a batch of N replies legitimately takes N serialization slots of the
-// home node's TX port, so big prefetch batches get proportionally more
-// patience), doubles (backoff_factor) per retry of the same request, and is
-// re-armed — with the retry count reset — every time any page of the
-// request arrives, since progress proves the path is alive.
-//
-// backoff_ceiling (off by default for bit-compatibility with earlier runs)
-// changes the long-outage regime: the backoff curve is clamped to the
-// ceiling instead of max_timeout, and once max_retries is reached the client
-// keeps probing at the ceiling rate instead of throwing — a node that sits
-// out a two-minute partition must neither give up nor, on heal, replay a
-// burst of retries whose spacing grew unboundedly stale. jitter_fraction
-// then desynchronizes those probes across clients: each timer is stretched
-// by a deterministic per-(request, retry, node, pid) factor in
-// [1, 1 + jitter_fraction), so every client healing from the same outage
-// does not hammer the home node on the same instant.
-struct PagingRetryConfig {
-  bool enabled{false};
-  double rtt_multiplier{4.0};
-  sim::Time min_timeout{sim::Time::from_ms(1)};
-  sim::Time max_timeout{sim::Time::from_ms(200)};
-  sim::Time per_page_allowance{sim::Time::from_us(500)};
-  double backoff_factor{2.0};
-  std::uint32_t max_retries{10};  // exceeded => throws (ceiling off) or keeps probing (on)
-  sim::Time backoff_ceiling{};    // zero = legacy: clamp at max_timeout, throw at max_retries
-  double jitter_fraction{0.0};    // zero = no jitter; else timers stretch by < this fraction
-};
-
 class PagingClient {
  public:
+  // Reliable-paging timer. It detects *silence*, not slow service: the base
+  // timeout is
+  //   clamp(kRttMultiplier * rtt_estimate, kMinTimeout, kMaxTimeout)
+  //     + missing_pages * kPerPageAllowance
+  // (a batch of N replies legitimately takes N serialization slots of the
+  // home node's TX port, so big prefetch batches get proportionally more
+  // patience). It doubles (kBackoffFactor) per retry of the same request, up
+  // to kBackoffCeiling plus the allowance, and is re-armed — with the retry
+  // count reset — every time any page of the request arrives, since
+  // progress proves the path is alive.
+  //
+  // After kMaxRetries the retry count stays pinned and the client keeps
+  // probing at the ceiling rate: a node that sits out a two-minute
+  // partition must neither give up nor, on heal, replay a burst of retries
+  // whose spacing grew unboundedly stale. The ceiling also outlasts the 2 s
+  // dead-consensus threshold, so rehoming gets its chance. kJitterFraction
+  // desynchronizes those probes across clients: each timer is stretched by
+  // a deterministic per-(request, retry, node, pid) factor in
+  // [1, 1 + kJitterFraction), so every client healing from the same outage
+  // does not hammer the home node on the same instant.
+  static constexpr double kRttMultiplier = 4.0;
+  static constexpr sim::Time kMinTimeout = sim::Time::from_ms(1);
+  static constexpr sim::Time kMaxTimeout = sim::Time::from_ms(200);
+  static constexpr sim::Time kPerPageAllowance = sim::Time::from_us(500);
+  static constexpr double kBackoffFactor = 2.0;
+  static constexpr std::uint32_t kMaxRetries = 12;
+  static constexpr sim::Time kBackoffCeiling = sim::Time::from_ms(500);
+  static constexpr double kJitterFraction = 0.1;
+
   PagingClient(sim::Simulator& simulator, net::Fabric& fabric, WireCosts wire,
                net::NodeId self_node, net::NodeId home_node, std::uint64_t pid)
       : sim_{simulator},
@@ -84,11 +81,12 @@ class PagingClient {
     on_arrival_ = std::move(fn);
   }
 
-  void set_retry_config(PagingRetryConfig config) { retry_ = config; }
-  [[nodiscard]] const PagingRetryConfig& retry_config() const { return retry_; }
+  // Track every request and retransmit on silence (the timer above). Off
+  // (the default) is the fire-and-forget client.
+  void set_reliable(bool enabled) { reliable_ = enabled; }
 
   // RTT estimate feeding the timeout formula (typically InfoDaemon::rtt_to
-  // the home node). Unset or zero falls back to min_timeout.
+  // the home node). Unset or zero falls back to kMinTimeout.
   void set_rtt_provider(std::function<sim::Time()> fn) { rtt_provider_ = std::move(fn); }
 
   // Observability: fault spans (request -> urgent arrival), prefetch-batch
@@ -135,7 +133,7 @@ class PagingClient {
   std::uint64_t next_request_id_{1};
   std::function<void(mem::PageId, bool)> on_arrival_;
   std::function<sim::Time()> rtt_provider_;
-  PagingRetryConfig retry_;
+  bool reliable_{false};
   std::map<std::uint64_t, Pending> outstanding_;  // request_id -> tracker
   PagingClientStats stats_;
   trace::TraceRecorder* trace_{nullptr};

@@ -250,13 +250,12 @@ void InvariantAuditor::audit_sequences(balancer::ProcessHost& host) {
 
 void InvariantAuditor::audit_convergence() {
   ++checks_run_;
-  const driver::ReliabilityConfig& rel = world_.reliability();
-  if (!rel.enabled || !rel.detection.enabled) {
+  if (!world_.reliable()) {
     return;
   }
-  // Quiescence gate: dead_periods of heartbeat silence build the verdict,
+  // Quiescence gate: kDeadPeriods of heartbeat silence build the verdict,
   // plus margin for the heartbeats themselves to flow again after a heal.
-  const sim::Time settle = world_.infod_period().scaled(rel.detection.dead_periods + 4.0);
+  const sim::Time settle = world_.infod_period().scaled(cluster::kDeadPeriods + 4.0);
   if (world_.simulator().now() < world_.last_fault_at() + settle) {
     return;
   }

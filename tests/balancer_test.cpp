@@ -214,5 +214,31 @@ TEST(LoadBalancerTest, FreezeCostGatesDecisions) {
   EXPECT_GT(balancer.ticks(), 0u);
 }
 
+// In a Checkpoint world the last node is the file server: the engine cannot
+// checkpoint to or restart from the node holding the image, so the balancer
+// must never move a process into or out of it, whatever the loads say.
+TEST(LoadBalancerTest, CheckpointWorldNeverMovesThroughTheFileServer) {
+  ClusterSim world{4, driver::Scheme::Checkpoint};
+  constexpr net::NodeId kFileServer = 3;
+  for (int i = 0; i < 4; ++i) {
+    world.spawn(sequential_job(0, 60000));
+  }
+  for (int i = 0; i < 3; ++i) {
+    world.spawn(sequential_job(kFileServer, 60000));
+  }
+  LoadBalancer balancer{world, LoadBalancer::Config{}};
+  balancer.start();
+  world.run();
+  EXPECT_GT(balancer.decisions(), 0u);
+  for (const auto& host : world.hosts()) {
+    EXPECT_TRUE(host->finished());
+    if (host->home_node() == kFileServer) {
+      EXPECT_EQ(host->migrations(), 0u);
+    } else {
+      EXPECT_NE(host->current_node(), kFileServer);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ampom::balancer

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
+#include "balancer/cluster_sim.hpp"
 #include "driver/builder.hpp"
 #include "driver/runner.hpp"
 #include "workload/hpcc.hpp"
+#include "workload/synthetic.hpp"
 
 namespace {
 
@@ -76,9 +81,69 @@ TEST(ScenarioBuilder, RejectsFaultsWithoutReliability) {
   EXPECT_THROW((void)b.build(), std::invalid_argument);
 
   // Turning reliability on resolves it.
-  b.reliability(driver::ReliabilityConfig::all_on());
+  b.reliable();
   EXPECT_TRUE(b.validate().empty());
 }
+
+// reliable() is one switch for every protocol layer of the world the
+// scenario builds. On a lossy link with node 2 crashed: on, the paging client
+// retransmits, the migration chunks are acked and the survivors agree node 2
+// is dead; off, none of the three happens.
+class ReliableSwitch : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReliableSwitch, TurnsEveryLayerOnOrOff) {
+  const bool reliable = GetParam();
+  const driver::Scenario scenario = driver::ScenarioBuilder{}
+                                        .scheme(driver::Scheme::Ampom)
+                                        .topology(1, 3)
+                                        .reliable(reliable)
+                                        .tracing()
+                                        .build();
+  balancer::ClusterSim world{scenario};
+  EXPECT_EQ(world.reliable(), reliable);
+  trace::TraceRecorder recorder{scenario.trace};
+  world.set_trace(&recorder);
+  // Installed on the built world: the builder rejects a fault plan without
+  // reliability, because the classic protocols hang on a lost page.
+  driver::FaultPlan plan;
+  plan.seed = 17;
+  plan.default_faults.drop_probability = 0.05;
+  plan.crashes.push_back({/*node=*/2, /*at=*/sim::Time::from_sec(1.0), /*restore_at=*/{}});
+  world.set_fault_plan(plan);
+
+  balancer::JobSpec job;
+  job.home = 0;
+  job.label = "hotcold";
+  job.make_workload = [] {
+    return std::make_unique<workload::HotColdStream>(8 * sim::kMiB, /*hot_pages=*/256, 40000,
+                                                     /*cold_fraction=*/0.05,
+                                                     sim::Time::from_us(100));
+  };
+  job.start = sim::Time::from_sec(1.0);
+  balancer::ProcessHost& host = world.spawn(std::move(job));
+  world.simulator().schedule_at(sim::Time::from_sec(1.1), [&host] { host.migrate_to(1); });
+  const bool finished = world.run_until(sim::Time::from_sec(10));
+
+  const proc::PagingClientStats* paging = host.paging_stats(1);
+  ASSERT_NE(paging, nullptr);
+  const auto& events = recorder.events();
+  const auto acks = std::count_if(events.begin(), events.end(), [](const trace::Event& e) {
+    return std::string_view{e.name} == "MigrationAck";
+  });
+  const cluster::PeerHealth node2 = world.consensus_health(2);
+  if (reliable) {
+    EXPECT_TRUE(finished);
+    EXPECT_GT(paging->retransmits, 0u);
+    EXPECT_GT(acks, 0);
+    EXPECT_EQ(node2, cluster::PeerHealth::kDead);
+  } else {
+    EXPECT_EQ(paging->retransmits, 0u);
+    EXPECT_EQ(acks, 0);
+    EXPECT_EQ(node2, cluster::PeerHealth::kAlive);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OnAndOff, ReliableSwitch, ::testing::Bool());
 
 TEST(ScenarioBuilder, InactiveFaultPlanNeedsNoReliability) {
   // A default (inactive) plan with a custom seed is not "faults on".
@@ -153,13 +218,13 @@ TEST(ScenarioBuilder, RejectsDegenerateTopologyAndGossip) {
 TEST(ScenarioBuilder, RejectsZoneOutageBeyondTopology) {
   EXPECT_THROW((void)driver::ScenarioBuilder{}
                    .topology(2, 3)
-                   .reliability(driver::ReliabilityConfig::all_on())
+                   .reliable()
                    .zone_outage(/*zone=*/2u, sim::Time::from_sec(1))
                    .build(),
                std::invalid_argument);
   const driver::Scenario ok = driver::ScenarioBuilder{}
                                   .topology(2, 3)
-                                  .reliability(driver::ReliabilityConfig::all_on())
+                                  .reliable()
                                   .zone_outage(/*zone=*/1u, sim::Time::from_sec(1))
                                   .build();
   EXPECT_EQ(ok.faults.chaos.zone_outages.size(), 1u);

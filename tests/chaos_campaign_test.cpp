@@ -120,7 +120,7 @@ TEST(ChaosExpansion, ValidationRejectsMalformedCampaigns) {
             return std::make_unique<workload::HotColdStream>(
                 2 * sim::kMiB, 32, 1000, 0.05, Time::from_us(100));
           })
-          .reliability(driver::ReliabilityConfig::all_on())
+          .reliable()
           .partition({1}, Time::from_ms(500), Time::from_ms(400))
           .build(),
       std::invalid_argument);
@@ -136,7 +136,7 @@ TEST(ChaosCampaign, RunsThroughExperimentHarness) {
             return std::make_unique<workload::HotColdStream>(
                 4 * sim::kMiB, 64, 30000, 0.05, Time::from_us(100));
           })
-          .reliability(driver::ReliabilityConfig::all_on())
+          .reliable()
           .chaos_seed(7)
           .flapping_link(0, 1, Time::from_ms(1100), Time::from_ms(1900),
                          Time::from_ms(150), 0.4)
@@ -156,7 +156,7 @@ TEST(ChaosCampaign, RunsThroughExperimentHarness) {
 TEST(ChaosCampaign, SplitBrainMigrationIsExactlyOnce) {
   balancer::ClusterSim world{4, driver::Scheme::Ampom};
   verify::InvariantAuditor auditor{world};
-  world.set_reliability(driver::ReliabilityConfig::all_on());
+  world.set_reliable(true);
 
   driver::FaultPlan plan;
   plan.chaos.seed = 3;

@@ -46,7 +46,7 @@ TEST(Chaos, MigrationAndPagingCompleteUnderLoss) {
   // pages from its home node, and the ledger still accounts for every page.
   for (const double drop : {0.01, 0.05}) {
     ClusterSim world{3, driver::Scheme::Ampom};
-    world.set_reliability(driver::ReliabilityConfig::all_on());
+    world.set_reliable(true);
     world.set_fault_plan(lossy_plan(drop, /*seed=*/11));
     ProcessHost& host = world.spawn(paging_job(0));
     world.simulator().schedule_at(Time::from_sec(0.4), [&host] { host.migrate_to(1); });
@@ -79,7 +79,7 @@ driver::RunMetrics scripted_run_with_crash(net::NodeId node, Time at) {
   plan.crashes.push_back({node, at, /*restore_at=*/at + Time::from_sec(1.0)});
   return driver::run_experiment(driver::ScenarioBuilder{}
                                     .workload("chaos", paging_job(0).make_workload)
-                                    .reliability(driver::ReliabilityConfig::all_on())
+                                    .reliable()
                                     .faults(plan)
                                     .build());
 }
@@ -99,7 +99,7 @@ TEST(Chaos, ScriptedRunToADeadDestinationFinishesAtHome) {
 
 TEST(Chaos, DeadDestinationAbortsMigrationAndUnfreezesAtSource) {
   ClusterSim world{3, driver::Scheme::Ampom};
-  world.set_reliability(driver::ReliabilityConfig::all_on());
+  world.set_reliable(true);
   world.crash_node(2);
   ProcessHost& host = world.spawn(paging_job(0, /*touches=*/40000));
   world.simulator().schedule_at(Time::from_sec(0.4), [&host] { host.migrate_to(2); });
@@ -133,7 +133,7 @@ struct ChaosOutcome {
 ChaosOutcome run_crash_scenario(std::uint64_t seed) {
   ChaosOutcome out;
   ClusterSim world{3, driver::Scheme::Ampom};
-  world.set_reliability(driver::ReliabilityConfig::all_on());
+  world.set_reliable(true);
   driver::FaultPlan plan = lossy_plan(0.02, seed);
   plan.crashes.push_back({/*node=*/1, /*at=*/Time::from_sec(1.2), /*restore_at=*/{}});
   world.set_fault_plan(plan);
@@ -188,7 +188,7 @@ TEST(Chaos, BalancerSkipsDeadNodesWhenPlacing) {
   // Four nodes, one dead: the balancer spreads load but never picks the
   // dead node as a destination.
   ClusterSim world{4, driver::Scheme::Ampom};
-  world.set_reliability(driver::ReliabilityConfig::all_on());
+  world.set_reliable(true);
   for (int i = 0; i < 4; ++i) {
     world.spawn(paging_job(0, /*touches=*/60000));
   }

@@ -52,7 +52,7 @@ struct GossipMesh {
         }
       }
       infods[id]->set_gossip(gossip);
-      infods[id]->set_failure_detection({/*enabled=*/true, 3.0, 8.0});
+      infods[id]->set_failure_detection(true);
     }
   }
 
@@ -295,7 +295,7 @@ TEST(ZonedBalancer, AuditorCleanUnderGossipAndZoneOutage) {
                                         .scheme(driver::Scheme::Ampom)
                                         .topology(/*zones=*/2, /*nodes_per_zone=*/3)
                                         .gossip(/*fan_out=*/2)
-                                        .reliability(driver::ReliabilityConfig::all_on())
+                                        .reliable()
                                         .zone_outage(/*zone=*/1u, Time::from_sec(1.5),
                                                      /*restore_at=*/Time::from_sec(4))
                                         .build();

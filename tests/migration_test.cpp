@@ -70,7 +70,7 @@ struct MigrationFixture : ::testing::Test {
                             ledger.get(),
                             [this] { before_resume_called = true; },
                             /*src_node=*/nullptr, /*dst_node=*/nullptr,
-                            /*reliability=*/{}};
+                            /*mutate_skip_abort_rollback=*/false};
   }
 
   // Runs until the migration completes (the sim halts at resume so that

@@ -212,7 +212,8 @@ TEST(FaultInjector, MessageInFlightToCrashingNodeIsDiscardedAtDelivery) {
 
 TEST(FaultInjector, RestoreNodeResumesDelivery) {
   World w{3};
-  w.injector.schedule_node_crash(1, Time::from_us(10), /*restore_at=*/Time::from_ms(2));
+  w.sim.schedule_at(Time::from_us(10), [&w] { w.injector.crash_node(1); });
+  w.sim.schedule_at(Time::from_ms(2), [&w] { w.injector.restore_node(1); });
   auto send = [&w](Time at) {
     w.sim.schedule_at(at, [&w] {
       w.fabric.send(Message{0, 1, kBulkBytes, PageData{1, 1, 7, false}});

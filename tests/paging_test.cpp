@@ -214,46 +214,18 @@ TEST_F(PagingFixture, SyscallRedirectionRoundTrip) {
 
 // --- reliable-paging backoff: ceiling and jitter --------------------------
 
-// Legacy config (no ceiling): a request that outlives its retry budget is a
-// hard error — the pre-ceiling behavior, pinned so the default stays
-// bit-compatible.
-TEST_F(PagingFixture, RetryBudgetExhaustionThrowsWithoutCeiling) {
-  wire_up({}, 1);
-  net::FaultInjector injector{simulator, 1};
-  fabric.set_fault_injector(&injector);
-  injector.set_link_down(kHome, kDest, true);
-
-  PagingRetryConfig retry;
-  retry.enabled = true;
-  retry.max_retries = 4;
-  client->set_retry_config(retry);
-  client->set_arrival_handler([](mem::PageId, bool) {});
-  process->aspace().mark_in_flight(10);
-  client->request_pages({10}, 10);
-  EXPECT_THROW(simulator.run(), std::runtime_error);
-  EXPECT_EQ(client->stats().retransmits, 4u);
-  EXPECT_EQ(client->stats().timeouts, 5u);  // the fatal expiry still counts
-  fabric.set_fault_injector(nullptr);
-}
-
-// With a ceiling the client outlasts an outage longer than its whole legacy
-// retry budget: it keeps probing at the capped rate and completes after the
-// heal, with the probe count bounded by outage/ceiling (not one per
-// max_retries step).
+// The client outlasts an outage far longer than its whole backoff ramp: it
+// keeps probing at the ceiling rate and completes after the heal, with the
+// probe count bounded by outage/ceiling (not one per retry step).
 TEST_F(PagingFixture, BackoffCeilingSurvivesOutageAndProbesBounded) {
   wire_up({}, 1);
   net::FaultInjector injector{simulator, 1};
   fabric.set_fault_injector(&injector);
   injector.set_link_down(kHome, kDest, true);
-  simulator.schedule_at(Time::from_ms(40),
-                        [&injector] { injector.set_link_down(kHome, kDest, false); });
+  const Time outage = Time::from_sec(10);
+  simulator.schedule_at(outage, [&injector] { injector.set_link_down(kHome, kDest, false); });
 
-  PagingRetryConfig retry;
-  retry.enabled = true;
-  retry.max_retries = 3;
-  retry.min_timeout = Time::from_ms(1);
-  retry.backoff_ceiling = Time::from_ms(4);
-  client->set_retry_config(retry);
+  client->set_reliable(true);
   mem::PageId arrived = mem::kInvalidPage;
   client->set_arrival_handler([&](mem::PageId p, bool) { arrived = p; });
   process->aspace().mark_in_flight(10);
@@ -262,17 +234,19 @@ TEST_F(PagingFixture, BackoffCeilingSurvivesOutageAndProbesBounded) {
 
   EXPECT_EQ(arrived, 10u);
   EXPECT_EQ(client->outstanding_requests(), 0u);
-  // Probing continued well past the legacy budget...
-  EXPECT_GT(client->stats().retransmits, std::uint64_t{retry.max_retries});
-  // ...but at the ceiling rate: spacing grows to ~4.5 ms (ceiling + one-page
-  // service allowance), so a 40 ms outage costs far fewer than 40 probes.
-  EXPECT_LT(client->stats().timeouts, 20u);
+  // Probing continued well past the retry budget...
+  EXPECT_GT(client->stats().retransmits, std::uint64_t{PagingClient::kMaxRetries});
+  // ...but at the ceiling rate: once the doubling ramp reaches the ceiling,
+  // probes are at least kBackoffCeiling apart.
+  const auto bound = static_cast<std::uint64_t>(outage / PagingClient::kBackoffCeiling) +
+                     PagingClient::kMaxRetries;
+  EXPECT_LT(client->stats().timeouts, bound);
   fabric.set_fault_injector(nullptr);
 }
 
-// Deterministic jitter: two clients stuck behind the same outage with the
-// same config probe at *different* instants (their (node, pid) identities
-// feed the jitter hash), yet a rerun reproduces both schedules exactly.
+// Deterministic jitter: two clients stuck behind the same outage probe at
+// *different* instants (their (node, pid) identities feed the jitter hash),
+// yet a rerun reproduces both schedules exactly.
 TEST(PagingRetryJitter, DecorrelatesClientsDeterministically) {
   const auto probe_counts = [] {
     sim::Simulator simulator;
@@ -281,22 +255,17 @@ TEST(PagingRetryJitter, DecorrelatesClientsDeterministically) {
     fabric.set_fault_injector(&injector);
     injector.set_link_down(0, 1, true);  // nothing is ever delivered
 
-    PagingRetryConfig retry;
-    retry.enabled = true;
-    retry.max_retries = 2;
-    retry.min_timeout = Time::from_ms(1);
-    retry.backoff_ceiling = Time::from_ms(1);
-    retry.jitter_fraction = 0.5;
     WireCosts wire;
     PagingClient first{simulator, fabric, wire, 1, 0, /*pid=*/1};
     PagingClient second{simulator, fabric, wire, 1, 0, /*pid=*/2};
-    first.set_retry_config(retry);
-    second.set_retry_config(retry);
+    first.set_reliable(true);
+    second.set_reliable(true);
     first.request_pages({10}, 10);
     second.request_pages({10}, 10);
-    // Long window: after the short backoff ramp each client probes with its
-    // own fixed jittered period, so the count difference grows linearly.
-    (void)simulator.run_until(Time::from_ms(1000));
+    // Long window: after the backoff ramp each client probes with its own
+    // fixed jittered period near the 500 ms ceiling, so the count difference
+    // grows linearly.
+    (void)simulator.run_until(Time::from_sec(200));
     return std::pair{first.stats().timeouts, second.stats().timeouts};
   };
   const auto [a1, b1] = probe_counts();

@@ -90,7 +90,7 @@ RunResult run_faulty_world(std::size_t workers) {
                                         .scheme(driver::Scheme::Ampom)
                                         .topology(/*zones=*/20, /*nodes_per_zone=*/100)
                                         .gossip(/*fan_out=*/3)
-                                        .reliability(driver::ReliabilityConfig::all_on())
+                                        .reliable()
                                         .faults(std::move(faults))
                                         .workers(workers)
                                         .build();
@@ -167,7 +167,7 @@ TEST(ParallelSim, AuditorStaysCleanUnderChaosWithWorkers) {
                                         .scheme(driver::Scheme::Ampom)
                                         .topology(/*zones=*/4, /*nodes_per_zone=*/25)
                                         .gossip(/*fan_out=*/3)
-                                        .reliability(driver::ReliabilityConfig::all_on())
+                                        .reliable()
                                         .zone_outage(/*zone=*/1u, Time::from_sec(1),
                                                      /*restore_at=*/Time::from_sec(3))
                                         .workers(4)

@@ -145,7 +145,7 @@ TEST(RemigrationEngineUnit, ConfigValidationAndAtHomeRejection) {
   migration::MigrationContext ctx{simulator, fabric, wire, process, executor, deputy,
                                   /*src=*/0,  /*dst=*/2, costs,   costs,    &ledger,
                                   {},        /*src_node=*/nullptr, /*dst_node=*/nullptr,
-                                  /*reliability=*/{}};
+                                  /*mutate_skip_abort_rollback=*/false};
   executor.start();
   executor.request_freeze([&] {
     // The process never left home: a re-migration engine is the wrong tool.

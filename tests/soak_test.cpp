@@ -114,7 +114,7 @@ TEST(Soak, ReliablePagingChurnSweepIsBitIdenticalAcrossJobs) {
           .scheme(driver::Scheme::Ampom)
           .hpcc_workload(workload::HpccKernel::Stream, 9)
           .faults(plan)
-          .reliability(driver::ReliabilityConfig::all_on())
+          .reliable()
           .tracing()
           .build();
     });

@@ -43,7 +43,7 @@ std::vector<driver::SweepExecutor::ScenarioFactory> representative_matrix() {
         .scheme(driver::Scheme::Ampom)
         .hpcc_workload(workload::HpccKernel::Stream, 9)
         .faults(plan)
-        .reliability(driver::ReliabilityConfig::all_on())
+        .reliable()
         .build();
   });
   cases.push_back([] {

@@ -32,7 +32,7 @@ driver::ScenarioBuilder small_chaos() {
   driver::FaultPlan plan;
   plan.seed = 17;
   plan.default_faults.drop_probability = 0.02;
-  return small_ampom().faults(plan).reliability(driver::ReliabilityConfig::all_on());
+  return small_ampom().faults(plan).reliable();
 }
 
 std::string export_json(const trace::TraceRecorder& recorder) {

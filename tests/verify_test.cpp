@@ -47,7 +47,7 @@ balancer::LoadBalancer::Config failure_handler_config() {
 TEST(InvariantAuditor, CleanOnCrashRecoveryRun) {
   ClusterSim world{4, driver::Scheme::Ampom};
   InvariantAuditor auditor{world};
-  world.set_reliability(driver::ReliabilityConfig::all_on());
+  world.set_reliable(true);
   world.enable_recovery_tracking();
 
   driver::FaultPlan plan;
@@ -98,7 +98,7 @@ TEST(InvariantAuditor, ObserverChangesNothing) {
     if (with_auditor) {
       auditor = std::make_unique<InvariantAuditor>(world);
     }
-    world.set_reliability(driver::ReliabilityConfig::all_on());
+    world.set_reliable(true);
     driver::FaultPlan plan;
     plan.seed = 17;
     plan.default_faults.drop_probability = 0.02;
@@ -122,9 +122,8 @@ TEST(InvariantAuditor, ObserverChangesNothing) {
 TEST(InvariantAuditor, CatchesSkippedAbortRollback) {
   ClusterSim world{3, driver::Scheme::Ampom};
   InvariantAuditor auditor{world};
-  driver::ReliabilityConfig reliability = driver::ReliabilityConfig::all_on();
-  reliability.migration.mutate_skip_abort_rollback = true;
-  world.set_reliability(reliability);
+  world.set_reliable(true);
+  world.mutate_skip_abort_rollback();
 
   driver::FaultPlan plan;
   plan.crashes.push_back({/*node=*/2, /*at=*/Time::from_sec(1.2), /*restore_at=*/{}});
@@ -151,7 +150,7 @@ TEST(InvariantAuditor, CatchesSkippedAbortRollback) {
   // is the mutation's, not the scenario's.
   ClusterSim control{3, driver::Scheme::Ampom};
   InvariantAuditor control_auditor{control};
-  control.set_reliability(driver::ReliabilityConfig::all_on());
+  control.set_reliable(true);
   driver::FaultPlan control_plan;
   control_plan.crashes.push_back({/*node=*/2, /*at=*/Time::from_sec(1.2), /*restore_at=*/{}});
   control.set_fault_plan(control_plan);
@@ -176,7 +175,7 @@ TEST(InvariantAuditor, CatchesSkippedAbortRollback) {
 TEST(InvariantAuditor, RestoredNodesDoNotCondemnSurvivors) {
   ClusterSim world{4, driver::Scheme::Ampom};
   InvariantAuditor auditor{world};
-  world.set_reliability(driver::ReliabilityConfig::all_on());
+  world.set_reliable(true);
   world.enable_recovery_tracking();
 
   driver::FaultPlan plan;
@@ -209,9 +208,8 @@ TEST(InvariantAuditor, RecordingModeCollectsInsteadOfThrowing) {
   AuditorConfig config;
   config.throw_on_violation = false;
   InvariantAuditor auditor{world, config};
-  driver::ReliabilityConfig reliability = driver::ReliabilityConfig::all_on();
-  reliability.migration.mutate_skip_abort_rollback = true;
-  world.set_reliability(reliability);
+  world.set_reliable(true);
+  world.mutate_skip_abort_rollback();
 
   driver::FaultPlan plan;
   plan.crashes.push_back({/*node=*/2, /*at=*/Time::from_sec(1.2), /*restore_at=*/{}});

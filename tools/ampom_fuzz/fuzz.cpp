@@ -156,9 +156,10 @@ FuzzResult run_case(const FuzzCase& fuzz_case) {
   balancer::LoadBalancer balancer{world, balancer_config};
 
   try {
-    driver::ReliabilityConfig reliability = driver::ReliabilityConfig::all_on();
-    reliability.migration.mutate_skip_abort_rollback = fuzz_case.mutate_skip_abort_rollback;
-    world.set_reliability(reliability);
+    world.set_reliable(true);
+    if (fuzz_case.mutate_skip_abort_rollback) {
+      world.mutate_skip_abort_rollback();
+    }
     world.enable_recovery_tracking();
 
     driver::FaultPlan plan;

@@ -48,7 +48,7 @@ struct FuzzCase {
   cluster::ChaosPlan chaos;
   sim::Time deadline{sim::Time::from_sec(30)};
   // Verification self-test: reintroduce the skipped abort rollback
-  // (MigrationReliability::mutate_skip_abort_rollback).
+  // (ClusterSim::mutate_skip_abort_rollback).
   bool mutate_skip_abort_rollback{false};
   // Run with the memory-hierarchy model on and the balancer scoring
   // destinations cache-aware (Placement::kCacheAware) so CPMD charges and
@@ -74,7 +74,7 @@ struct FuzzResult {
 // Deterministic scenario sampler: same seed, same case.
 [[nodiscard]] FuzzCase generate_case(std::uint64_t seed);
 
-// Build the world (AMPoM scheme, reliability all_on, recovery tracking,
+// Build the world (AMPoM scheme, reliable protocols, recovery tracking,
 // balancer as pure failure handler), run under the auditor, classify.
 [[nodiscard]] FuzzResult run_case(const FuzzCase& fuzz_case);
 
