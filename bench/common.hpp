@@ -5,10 +5,10 @@
 //   --quick        run a reduced sweep (small sizes; for CI smoke runs)
 //   --jobs=N       run the sweep's cases on N worker threads (default 1;
 //                  results are bit-identical to the serial run)
-//   --workers=N    intra-run parallelism for cluster-world benches: run each
-//                  simulation on N threads over zone-partitioned event
-//                  queues (default 0 = legacy serial engine; any N >= 1 is
-//                  bit-identical to N=1, see DESIGN.md §15)
+//   --workers=N    intra-run parallelism for cluster-world benches: run the
+//                  zone partitions of each multi-zone simulation on N
+//                  threads (default 0 = one; any N is bit-identical to
+//                  N=1, see DESIGN.md §15)
 //   --csv=FILE     additionally dump every table as CSV
 // and prints one aligned table per paper figure, with the paper's reported
 // values quoted in the header comment of each binary for comparison.

@@ -107,13 +107,23 @@ struct ScaleCase {
 inline constexpr double kTrafficCeilingPerFanOut = 3.0;
 inline constexpr double kMaxTrafficSpread = 1.30;
 
+// The "n<nodes>." prefix of a grid case's metrics. Appended piecewise:
+// gcc 12 at -O3 raises a -Werror=restrict false positive on the
+// `"n" + std::to_string(...)` (const char* + std::string&&) form.
+inline std::string case_key(std::uint32_t nodes) {
+  std::string key{"n"};
+  key += std::to_string(nodes);
+  key += '.';
+  return key;
+}
+
 // `grid.front()` is the smallest case (n64).
 inline MetricsDoc scale_metrics(const std::vector<ScaleCase>& grid, unsigned host_cpus) {
   MetricsDoc doc{"scale_sweep", host_cpus};
   double min_traffic = grid.front().msgs_per_node_period;
   double max_traffic = min_traffic;
   for (const ScaleCase& c : grid) {
-    const std::string key = "n" + std::to_string(c.nodes) + ".";
+    const std::string key = case_key(c.nodes);
     doc.add(key + "nodes", c.nodes, Better::kInfo)
         .add(key + "zones", c.zones, Better::kInfo)
         .add(key + "fan_out", c.fan_out, Better::kInfo)
@@ -159,7 +169,7 @@ inline MetricsDoc parallel_metrics(const std::vector<ParallelCase>& grid, unsign
   MetricsDoc doc{"parallel_sweep", host_cpus};
   const double anchor_wall = grid.front().runs.front().wall_sec;
   for (const ParallelCase& c : grid) {
-    const std::string key = "n" + std::to_string(c.nodes) + ".";
+    const std::string key = case_key(c.nodes);
     doc.add(key + "nodes", c.nodes, Better::kInfo)
         .add(key + "zones", c.zones, Better::kInfo)
         .add(key + "procs", static_cast<double>(c.procs), Better::kInfo);

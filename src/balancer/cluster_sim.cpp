@@ -194,13 +194,8 @@ bool ProcessHost::migrate_to(net::NodeId dst,
     // without the ack'd protocol to detect that, refuse the move instead.
     return false;
   }
-  if (world_.scheme() == driver::Scheme::Checkpoint) {
-    // The last node is the file server: the checkpoint engine cannot write
-    // an image to (or restore one from) the node that stores it.
-    const auto file_server = static_cast<net::NodeId>(world_.node_count() - 1);
-    if (src == file_server || dst == file_server) {
-      return false;
-    }
+  if (world_.is_file_server(src) || world_.is_file_server(dst)) {
+    return false;
   }
   migrating_ = true;
   world_.note_migration_started(src, dst);
@@ -328,13 +323,14 @@ ClusterSim::ClusterSim(const driver::Scenario& scenario)
   if (scenario.shaped_link) {
     fabric_.set_link(0, 1, *scenario.shaped_link);
   }
-  // Intra-run parallelism: partition the event queue by zone before anything
-  // schedules an event. The zone is the natural partition — gossip, voting
-  // and the balancer's local tier all stay zone-internal — and the default
-  // link latency is the minimum cross-zone propagation delay, i.e. the
-  // conservative lookahead bound. A single-zone world has nothing to run in
-  // parallel and silently keeps the serial engine.
-  if (scenario.workers >= 1 && topology_.zones >= 2) {
+  // Partition the event queue by zone before anything schedules an event.
+  // The zone is the natural partition — gossip, voting and the balancer's
+  // local tier all stay zone-internal — and the default link latency is the
+  // minimum cross-zone propagation delay, i.e. the conservative lookahead
+  // bound. A flat or one-zone world gets no node partitions: every event is
+  // global and runs in plain (time, schedule order). `workers` only sets
+  // how many threads run the zones.
+  if (topology_.zones >= 2) {
     sim::Simulator::PartitionPlan plan;
     plan.partitions = topology_.zones;
     plan.node_partition.resize(node_count);
@@ -433,13 +429,7 @@ ClusterSim::ClusterSim(const driver::Scenario& scenario)
 
 void ClusterSim::set_fault_plan(const driver::FaultPlan& plan) {
   if (injector_ == nullptr) {
-    injector_ = std::make_unique<net::FaultInjector>(sim_, plan.seed);
-    if (sim_.partitioned()) {
-      // Partitions decide message fates concurrently: switch the injector to
-      // per-message keyed draws (fate = f(seed, src, dst, send index)) and
-      // per-partition stat shards so no RNG or counter is shared.
-      injector_->enable_keyed_mode(node_count(), sim_.partitions());
-    }
+    injector_ = std::make_unique<net::FaultInjector>(sim_, plan.seed, node_count());
     fabric_.set_fault_injector(injector_.get());
   }
   plan.apply_faults(*injector_);
@@ -504,7 +494,7 @@ void ClusterSim::set_trace(trace::TraceRecorder* recorder) {
       stack.client->set_trace(recorder);
     }
   }
-  if (recorder != nullptr && sim_.partitioned()) {
+  if (recorder != nullptr && sim_.partitions() > 0) {
     // Partitions record concurrently into per-partition shards; the recorder
     // merges them deterministically (by timestamp, then partition) on read.
     recorder->enable_partition_shards(sim_.partitions());
@@ -518,10 +508,7 @@ void ClusterSim::crash_node(net::NodeId id) {
   if (injector_ == nullptr) {
     // No fault plan installed: a zero-fault injector is exactly transparent,
     // so composing one in just for the crash flags is safe.
-    injector_ = std::make_unique<net::FaultInjector>(sim_, /*seed=*/1);
-    if (sim_.partitioned()) {
-      injector_->enable_keyed_mode(node_count(), sim_.partitions());
-    }
+    injector_ = std::make_unique<net::FaultInjector>(sim_, /*seed=*/1, node_count());
     fabric_.set_fault_injector(injector_.get());
   }
   injector_->crash_node(id);

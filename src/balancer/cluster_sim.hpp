@@ -248,14 +248,14 @@ class ClusterSim : public cluster::ClusterView {
   // --- verification & recovery observability --------------------------------
   // Register (or clear, with nullptr) the verification observer. Not owned;
   // must outlive the run. Null observer = zero overhead, bit-identical runs.
-  // In a partitioned world an observer drops the worker count to one thread:
-  // observer callbacks fire inside partition windows and may read state
-  // across the whole world, which is only race-free single-threaded. The
-  // schedule is unchanged, so the run stays bit-identical to any worker
-  // count — audited runs are slower, never different. Attach before run().
+  // An observer drops the worker count to one thread: observer callbacks
+  // fire inside partition windows and may read state across the whole
+  // world, which is only race-free single-threaded. The schedule is
+  // unchanged, so the run stays bit-identical to any worker count — audited
+  // runs are slower, never different. Attach before run().
   void set_observer(verify::WorldObserver* observer) {
     observer_ = observer;
-    if (observer != nullptr && sim_.partitioned()) {
+    if (observer != nullptr) {
       sim_.set_workers(1);
     }
   }
@@ -291,6 +291,12 @@ class ClusterSim : public cluster::ClusterView {
   // Copies counts and p50/p95 percentiles into the RunMetrics recovery block.
   void fill_recovery_metrics(driver::RunMetrics& metrics) const;
 
+  // A Checkpoint world's last node is its file server: the checkpoint engine
+  // cannot write an image to (or restore one from) the node that stores it,
+  // so no move may start or end there.
+  [[nodiscard]] bool is_file_server(net::NodeId node) const {
+    return scheme_ == driver::Scheme::Checkpoint && node + 1 == node_count();
+  }
   // Unfinished processes currently placed on `node` (the load metric).
   // O(1): maintained incrementally from process start/finish/move events.
   [[nodiscard]] std::uint64_t active_on(net::NodeId node) const {

@@ -89,13 +89,15 @@ double LoadBalancer::dest_score(net::NodeId src, net::NodeId dst, double load,
 LoadBalancer::ZoneScan LoadBalancer::scan_zone(std::uint32_t zone) const {
   // Nodes the cluster does not consider healthy are skipped entirely —
   // never a migration destination, and not a source either (their
-  // processes go through reclaim_stranded instead).
+  // processes go through reclaim_stranded instead). So is a Checkpoint
+  // world's file server, which no move may start or end on: picking it
+  // would stall the tick on a move migrate_to refuses.
   ZoneScan scan;
   scan.min_load = std::numeric_limits<double>::max();
   scan.best_score = std::numeric_limits<double>::max();
   // Pass 1: the busiest alive node (the migration source).
   for (net::NodeId id = view_.zone_begin(zone); id < view_.zone_end(zone); ++id) {
-    if (view_.health(id) != cluster::PeerHealth::kAlive) {
+    if (view_.health(id) != cluster::PeerHealth::kAlive || world_.is_file_server(id)) {
       continue;
     }
     scan.found = true;
@@ -117,7 +119,7 @@ LoadBalancer::ZoneScan LoadBalancer::scan_zone(std::uint32_t zone) const {
                              : 0;
   scan.idlest = scan.busiest;
   for (net::NodeId id = view_.zone_begin(zone); id < view_.zone_end(zone); ++id) {
-    if (view_.health(id) != cluster::PeerHealth::kAlive) {
+    if (view_.health(id) != cluster::PeerHealth::kAlive || world_.is_file_server(id)) {
       continue;
     }
     if (config_.placement != driver::Placement::kLoad && id == scan.busiest) {

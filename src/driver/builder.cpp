@@ -54,16 +54,6 @@ std::string ScenarioBuilder::validate() const {
   if (s.dest_background_load < 0.0 || s.dest_background_load >= 1.0) {
     return "ScenarioBuilder: dest_background_load must be a fraction in [0, 1)";
   }
-  if (s.workers >= 1) {
-    if (!cluster_mode) {
-      return "ScenarioBuilder: workers() requires topology() — intra-run parallelism "
-             "partitions the cluster world by zone; single-process experiments are serial";
-    }
-    if (s.topology.zones < 2) {
-      return "ScenarioBuilder: workers() needs a topology with at least two zones — the "
-             "zone is the partition, and one partition has nothing to run in parallel";
-    }
-  }
   if (s.hierarchy.enabled) {
     if (!cluster_mode) {
       return "ScenarioBuilder: cache_model() requires topology() — the memory hierarchy "

@@ -196,10 +196,10 @@ class ScenarioBuilder {
     return *this;
   }
 
-  // Intra-run parallelism: run the cluster simulation on `value` worker
-  // threads over zone-partitioned event queues. Requires a topology with at
-  // least two zones (the zone is the partition). Any value >= 1 selects the
-  // partitioned engine; the result is bit-identical for every worker count.
+  // Intra-run parallelism: run the zone partitions of a multi-zone world on
+  // `value` threads (at most one per zone; 0 and 1 mean one). Worlds with
+  // fewer than two zones have no zone partitions and ignore it. The result
+  // is bit-identical for every value.
   ScenarioBuilder& workers(std::size_t value) {
     scenario_.workers = value;
     return *this;

@@ -13,10 +13,10 @@ RunContext::RunContext(const Scenario& scenario, Options options)
   if (!options.capture_log && options.log_sink == nullptr) {
     logger_ = sim::Logger{options.log_level};  // default sink: stderr
   }
-  // A partitioned run records trace events from several worker threads; give
-  // the recorder one shard per zone partition up front so no two partitions
-  // ever share a buffer (trace/trace.hpp).
-  if (scenario.workers >= 1 && scenario.topology.set() && scenario.topology.zones >= 2) {
+  // A multi-zone world runs one partition per zone, possibly on several
+  // threads; give the recorder one shard per zone up front so no two
+  // partitions ever share a buffer (trace/trace.hpp).
+  if (scenario.topology.set() && scenario.topology.zones >= 2) {
     recorder_->enable_partition_shards(scenario.topology.zones);
   }
 }

@@ -179,9 +179,10 @@ struct Scenario {
   FaultPlan faults{};
   bool reliable{false};
 
-  // Intra-run simulator threads. workers >= 1 selects the partitioned
-  // engine for cluster worlds — requires a multi-zone topology; the zone is
-  // the partition (builder-validated). 0 keeps the legacy serial engine.
+  // Intra-run simulator threads: how many OS threads run the zone
+  // partitions of a multi-zone world (at most one per zone). 0 and 1 both
+  // mean one thread; a flat or one-zone world has no zone partitions and
+  // always runs on one. The value never changes a result.
   std::size_t workers{0};
 
   // Observability: per-fault trace of the AMPoM analysis (Ampom scheme only).

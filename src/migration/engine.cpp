@@ -13,7 +13,7 @@ void MigrationEngine::finish_resume(MigrationContext& ctx, MigrationResult resul
   // placement, the deputy's service target, the world's load accounting via
   // `done`), so hop to the barrier context first; the hop is a deterministic
   // function of the event schedule, not of the worker count.
-  if (ctx.sim.partitioned() && ctx.sim.current_partition() != 0) {
+  if (ctx.sim.current_partition() != 0) {
     ctx.sim.post_global(
         [ctx, result, done]() mutable { finish_resume(ctx, result, done); });
     return;
@@ -40,7 +40,7 @@ void MigrationEngine::abort_unfreeze(MigrationContext& ctx, MigrationResult resu
                                      const std::function<void(MigrationResult)>& done) {
   // Same barrier hop as finish_resume: the abort accounting in `done` is
   // world-global state.
-  if (ctx.sim.partitioned() && ctx.sim.current_partition() != 0) {
+  if (ctx.sim.current_partition() != 0) {
     ctx.sim.post_global([ctx, result, outcome, done]() mutable {
       abort_unfreeze(ctx, result, outcome, done);
     });
@@ -71,20 +71,16 @@ void migrate_process(MigrationContext ctx, MigrationEngine& engine,
                            ctx.process.pid(), ctx.dst);
   }
   // Engines drive the whole transfer from the home/deputy side and commit by
-  // touching world-global state, so in partitioned runs they execute in the
-  // barrier context. post_global is inline when already there (the balancer
-  // tick path) and defers to the next window fence when the request
-  // originated inside a partition (the freeze grant fires inside a burst
-  // event on the process's partition).
+  // touching world-global state, so they execute in the barrier context.
+  // post_global is inline when already there (the balancer tick path, and
+  // every event of a world without node partitions) and defers to the next
+  // window fence when the request originated inside a partition (the freeze
+  // grant fires inside a burst event on the process's partition).
   if (!engine.needs_freeze_first()) {
     sim::Simulator& sim = ctx.sim;
-    if (sim.partitioned()) {
-      sim.post_global([&engine, ctx = std::move(ctx), done = std::move(done)]() mutable {
-        engine.execute(std::move(ctx), std::move(done));
-      });
-    } else {
+    sim.post_global([&engine, ctx = std::move(ctx), done = std::move(done)]() mutable {
       engine.execute(std::move(ctx), std::move(done));
-    }
+    });
     return;
   }
   proc::Executor& executor = ctx.executor;
@@ -95,14 +91,9 @@ void migrate_process(MigrationContext ctx, MigrationEngine& engine,
                              ctx.process.pid());
         }
         sim::Simulator& sim = ctx.sim;
-        if (sim.partitioned()) {
-          sim.post_global(
-              [&engine, ctx = std::move(ctx), done = std::move(done)]() mutable {
-            engine.execute(std::move(ctx), std::move(done));
-          });
-        } else {
+        sim.post_global([&engine, ctx = std::move(ctx), done = std::move(done)]() mutable {
           engine.execute(std::move(ctx), std::move(done));
-        }
+        });
       });
 }
 

@@ -6,7 +6,7 @@ namespace ampom::net {
 
 namespace {
 
-// splitmix64-style combine: the keyed-mode seed for one message.
+// splitmix64-style combine: the seed of one message's fate.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6U) + (h >> 2U);
   h *= 0xBF58476D1CE4E5B9ULL;
@@ -15,8 +15,13 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(sim::Simulator& simulator, std::uint64_t seed)
-    : sim_{simulator}, rng_{seed}, seed_{seed}, stat_shards_(1) {}
+FaultInjector::FaultInjector(sim::Simulator& simulator, std::uint64_t seed,
+                             std::size_t node_count)
+    : sim_{simulator},
+      seed_{seed},
+      crashed_(node_count, false),
+      send_seq_(node_count, 0),
+      stat_shards_(simulator.partitions() + 1) {}
 
 void FaultInjector::set_link_faults(NodeId a, NodeId b, LinkFaults faults) {
   link_overrides_[ordered(a, b)] = faults;
@@ -42,38 +47,11 @@ void FaultInjector::schedule_link_outage(NodeId a, NodeId b, sim::Time down_at,
   sim_.schedule_at(up_at, [this, a, b] { set_link_down(a, b, false); });
 }
 
-void FaultInjector::crash_node(NodeId node) {
-  if (crashed_.size() <= node) {
-    crashed_.resize(node + 1, false);
-  }
-  crashed_[node] = true;
-}
+void FaultInjector::crash_node(NodeId node) { crashed_.at(node) = true; }
 
-void FaultInjector::restore_node(NodeId node) {
-  if (crashed_.size() > node) {
-    crashed_[node] = false;
-  }
-}
+void FaultInjector::restore_node(NodeId node) { crashed_.at(node) = false; }
 
-bool FaultInjector::node_crashed(NodeId node) const {
-  return crashed_.size() > node && crashed_[node];
-}
-
-void FaultInjector::enable_keyed_mode(std::size_t node_count, std::uint32_t partitions) {
-  FaultInjectorStats seen_any;
-  for (const FaultInjectorStats& s : stat_shards_) {
-    seen_any.messages_seen += s.messages_seen;
-  }
-  if (seen_any.messages_seen != 0) {
-    throw std::logic_error("FaultInjector::enable_keyed_mode: messages already decided");
-  }
-  keyed_ = true;
-  send_seq_.assign(node_count, 0);
-  stat_shards_.assign(partitions + 1, FaultInjectorStats{});
-  if (crashed_.size() < node_count) {
-    crashed_.resize(node_count, false);  // fixed footprint: no growth mid-run
-  }
-}
+bool FaultInjector::node_crashed(NodeId node) const { return crashed_.at(node); }
 
 FaultInjectorStats FaultInjector::stats() const {
   FaultInjectorStats total;
@@ -109,51 +87,34 @@ FaultInjector::Decision FaultInjector::decide(const Message& msg) {
   ++stats.messages_seen;
   Decision d;
 
-  // Endpoint liveness and outage windows first: these consume no randomness,
-  // so a crash window does not shift the drop/jitter stream of other links.
+  // Endpoint liveness and outage windows first: these take no send index,
+  // so a crash window does not shift the fates of the sender's other
+  // messages.
   if (node_crashed(msg.src) || node_crashed(msg.dst)) {
     d.deliver = false;
     ++stats.crash_drops;
-    if (!keyed_) {
-      trace_.push_back('X');
-    }
     return d;
   }
   if (link_down(msg.src, msg.dst)) {
     d.deliver = false;
     ++stats.link_down_drops;
-    if (!keyed_) {
-      trace_.push_back('L');
-    }
     return d;
   }
 
+  // The fate depends only on (seed, src, dst, how many messages src has
+  // sent) — never on other partitions' progress. Every message that reaches
+  // here takes a send index; only nonzero knobs draw, so a zero-fault
+  // injector stays transparent.
+  const std::uint64_t index = send_seq_.at(msg.src)++;
   const LinkFaults faults = link_faults(msg.src, msg.dst);
-  if (!keyed_) {
-    return decide_with(rng_, faults, /*record_trace=*/true);
+  if (faults.drop_probability <= 0.0 && faults.max_extra_delay <= sim::Time::zero() &&
+      faults.duplicate_probability <= 0.0) {
+    return d;
   }
-  // Keyed mode: the fate of this message depends only on (seed, src, dst,
-  // how many messages src has sent) — never on other partitions' progress.
-  std::uint64_t h = mix(seed_, msg.src);
-  h = mix(h, msg.dst);
-  h = mix(h, send_seq_.at(msg.src)++);
-  sim::Rng one_shot{h};
-  return decide_with(one_shot, faults, /*record_trace=*/false);
-}
-
-FaultInjector::Decision FaultInjector::decide_with(sim::Rng& rng, const LinkFaults& faults,
-                                                   bool record_trace) {
-  FaultInjectorStats& stats = shard();
-  Decision d;
-  // Draw only for nonzero knobs: a zero-fault injector never touches the RNG,
-  // which keeps it bit-transparent and lets per-link overrides coexist with a
-  // fault-free default without perturbing each other's streams.
+  sim::Rng rng{mix(mix(mix(seed_, msg.src), msg.dst), index)};
   if (faults.drop_probability > 0.0 && rng.bernoulli(faults.drop_probability)) {
     d.deliver = false;
     ++stats.dropped;
-    if (record_trace) {
-      trace_.push_back('D');
-    }
     return d;
   }
   if (faults.max_extra_delay > sim::Time::zero()) {
@@ -171,13 +132,6 @@ FaultInjector::Decision FaultInjector::decide_with(sim::Rng& rng, const LinkFaul
                             ? faults.max_extra_delay
                             : sim::Time::from_us(1);
     ++stats.duplicated;
-    if (record_trace) {
-      trace_.push_back('d');
-    }
-    return d;
-  }
-  if (record_trace) {
-    trace_.push_back(d.extra_delay > sim::Time::zero() ? 'j' : '.');
   }
   return d;
 }

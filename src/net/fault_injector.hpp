@@ -3,9 +3,12 @@
 //
 // A FaultInjector decides, per message, whether the fabric delivers it
 // (drop probability, link-down windows, crashed endpoints), duplicates it,
-// or delays it by extra jitter. All randomness comes from one sim::Rng
-// seeded by the scenario, so a (scenario, seed) pair fully determines the
-// fault trace — chaos runs are reproducible and diffable.
+// or delays it by extra jitter. A message's fate is keyed: it draws from a
+// one-shot sim::Rng seeded by hash(seed, src, dst, per-source send index),
+// so it is a pure function of the message's own identity and never of the
+// interleaving of other links' sends. A (scenario, seed) pair therefore
+// fully determines every fate — chaos runs are reproducible and diffable —
+// and the fates are the same for any worker count of a partitioned run.
 //
 // Fault classes (paper context: the Gideon 300 ran on real Fast Ethernet,
 // where packets drop, links flap and nodes die):
@@ -19,22 +22,14 @@
 //
 // With all probabilities zero and no outages/crashes the injector is
 // exactly transparent: every message is delivered at the time the plain
-// fabric would deliver it (no RNG draws are made on that path, so even the
-// stream position is untouched).
-//
-// Keyed mode (partitioned simulation): the single sequential RNG stream
-// assumes a global send order, which a partitioned run does not have. With
-// enable_keyed_mode() every decision instead draws from a one-shot RNG
-// seeded by hash(seed, src, dst, per-source send counter) — the fault fate
-// of a message is a pure function of its own identity, independent of the
-// interleaving of other links' sends, so it is identical for any worker
-// count. Stats are sharded per executing partition (aggregated on read) and
-// the per-message trace string is not recorded in this mode.
+// fabric would deliver it (no RNG draws are made on that path). A message
+// suppressed by a crash or an outage takes no send index, so it shifts no
+// other message's fate. Stats are sharded per executing partition of the
+// simulator (aggregated on read), so partitions never share a counter.
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -62,7 +57,10 @@ struct FaultInjectorStats {
 
 class FaultInjector {
  public:
-  FaultInjector(sim::Simulator& simulator, std::uint64_t seed);
+  // `node_count` bounds the node ids this injector sees (the per-source send
+  // counters and crash flags are sized once, so partitions never grow them).
+  // Partition the simulator before constructing the injector.
+  FaultInjector(sim::Simulator& simulator, std::uint64_t seed, std::size_t node_count);
 
   // --- fault configuration --------------------------------------------------
   void set_default_faults(LinkFaults faults) { default_faults_ = faults; }
@@ -92,22 +90,8 @@ class FaultInjector {
   // toward a node that crashed after it was sent is discarded on arrival.
   [[nodiscard]] bool drop_in_flight(const Message& msg);
 
-  // Switch to per-message keyed randomness (see the header comment). Must be
-  // set before any message is seen; `partitions` is the partition count of
-  // the owning simulator (stats sharding), `node_count` bounds the per-source
-  // send counters.
-  void enable_keyed_mode(std::size_t node_count, std::uint32_t partitions);
-  [[nodiscard]] bool keyed_mode() const { return keyed_; }
-
-  // Aggregated across stat shards (one per executing partition in keyed
-  // mode; exactly one otherwise).
+  // Aggregated across the stat shards (one per executing partition).
   [[nodiscard]] FaultInjectorStats stats() const;
-
-  // Deterministic fault trace: one character per message seen, in send
-  // order ('.' delivered, 'D' dropped, 'd' duplicated, 'j' jittered,
-  // 'L' link-down, 'X' crash-suppressed). Same seed => identical trace.
-  // Empty in keyed mode (there is no global send order to index it by).
-  [[nodiscard]] const std::string& trace() const { return trace_; }
 
  private:
   [[nodiscard]] static std::pair<NodeId, NodeId> ordered(NodeId a, NodeId b) {
@@ -115,19 +99,15 @@ class FaultInjector {
   }
 
   [[nodiscard]] FaultInjectorStats& shard();
-  [[nodiscard]] Decision decide_with(sim::Rng& rng, const LinkFaults& faults, bool record_trace);
 
   sim::Simulator& sim_;
-  sim::Rng rng_;
   std::uint64_t seed_;
   LinkFaults default_faults_;
   std::map<std::pair<NodeId, NodeId>, LinkFaults> link_overrides_;
   std::map<std::pair<NodeId, NodeId>, bool> link_down_;
-  std::vector<bool> crashed_;  // indexed by NodeId, grown on demand
-  bool keyed_{false};
-  std::vector<std::uint64_t> send_seq_;          // keyed mode: per-source counters
+  std::vector<bool> crashed_;                    // indexed by NodeId
+  std::vector<std::uint64_t> send_seq_;          // per-source send counters
   std::vector<FaultInjectorStats> stat_shards_;  // index = executing partition
-  std::string trace_;
 };
 
 }  // namespace ampom::net

@@ -60,9 +60,6 @@ Simulator::EventId Simulator::schedule_at(Time at, Callback cb) {
 }
 
 Simulator::EventId Simulator::schedule_on_node(std::uint32_t node, Time at, Callback cb) {
-  if (!partitioned_) {
-    return schedule_at(at, std::move(cb));
-  }
   const std::uint32_t target = partition_of_node(node);
   const std::uint32_t cur = ctx_index();
   if (cur == target) {
@@ -83,18 +80,32 @@ Simulator::EventId Simulator::schedule_on_node(std::uint32_t node, Time at, Call
   // the fence is schedule state, not thread state).
   Partition& src = *parts_[cur];
   const Time eff = at < window_fence_ ? window_fence_ : at;
-  src.outbox.push_back(Outgoing{eff, target, src.next_out_seq++, EventId{}, std::move(cb)});
+  src.outbox.push_back(Outgoing{eff, target, EventId{}, std::move(cb)});
   return EventId{};
 }
 
 void Simulator::post_global(Callback cb) {
   const std::uint32_t cur = ctx_index();
-  if (!partitioned_ || cur == 0) {
+  if (cur == 0) {
     cb();  // already serialized against every partition
     return;
   }
   Partition& src = *parts_[cur];
-  src.outbox.push_back(Outgoing{window_fence_, 0, src.next_out_seq++, EventId{}, std::move(cb)});
+  src.outbox.push_back(Outgoing{window_fence_, 0, EventId{}, std::move(cb)});
+}
+
+Simulator::EventId Simulator::observe_at(Time at, Callback cb) {
+  if (plan_.partitions == 0) {
+    return schedule_at(at, std::move(cb));
+  }
+  if (ctx_index() != 0) {
+    throw std::logic_error("Simulator::observe_at: called from inside a partition event");
+  }
+  if (at < parts_[0]->now) {
+    throw std::logic_error(strfmt("observe_at(%s) is in the past (now=%s)", at.str().c_str(),
+                                  parts_[0]->now.str().c_str()));
+  }
+  return EventId{observers_.push(at, std::move(cb)), kObserverPart};
 }
 
 bool Simulator::cancel(EventId id) {
@@ -102,7 +113,13 @@ bool Simulator::cancel(EventId id) {
     return false;
   }
   const std::uint32_t cur = ctx_index();
-  if (!partitioned_ || id.part == cur || cur == 0) {
+  if (id.part == kObserverPart) {
+    if (cur != 0) {
+      throw std::logic_error("Simulator::cancel: observer event cancelled from a partition");
+    }
+    return observers_.cancel(id.seq);
+  }
+  if (id.part == cur || cur == 0) {
     return parts_[id.part]->queue.cancel(id.seq);
   }
   if (id.part == 0) {
@@ -111,66 +128,18 @@ bool Simulator::cancel(EventId id) {
     // event time still pending, so the cancel is applied before the event
     // could fire.
     Partition& src = *parts_[cur];
-    src.outbox.push_back(Outgoing{window_fence_, 0, src.next_out_seq++, id, Callback{}});
+    src.outbox.push_back(Outgoing{window_fence_, 0, id, Callback{}});
     return true;
   }
   throw std::logic_error("Simulator::cancel: cross-partition cancel of a non-global event");
 }
 
-bool Simulator::step() {
-  if (partitioned_) {
-    throw std::logic_error("Simulator::step: single-stepping is unavailable in partitioned mode");
-  }
-  Partition& part = *parts_[0];
-  Time at;
-  Callback cb;
-  if (!part.queue.pop(at, cb)) {
-    return false;
-  }
-  assert(at >= part.now);
-  part.now = at;
-  ++part.processed;
-  cb();
-  return true;
-}
+std::uint64_t Simulator::run() { return run_windows(std::nullopt); }
 
-std::uint64_t Simulator::run() {
-  return partitioned_ ? run_windows(std::nullopt) : run_serial(std::nullopt);
-}
-
-std::uint64_t Simulator::run_until(Time limit) {
-  return partitioned_ ? run_windows(limit) : run_serial(limit);
-}
-
-std::uint64_t Simulator::run_serial(std::optional<Time> limit) {
-  Partition& part = *parts_[0];
-  const std::uint64_t before = part.processed;
-  while (!halted()) {
-    if (part.queue.empty() || (limit && part.queue.top_time() > *limit)) {
-      if (limit && part.now < *limit) {
-        // Drained the window: the full interval elapsed.
-        part.now = *limit;
-      }
-      if (!limit && part.queue.empty()) {
-        break;
-      }
-      if (limit) {
-        halted_.store(false, std::memory_order_relaxed);
-        return part.processed - before;
-      }
-      break;
-    }
-    step();
-  }
-  // Halted (possibly before the first event): the clock stays where the halt
-  // caught it, so delays scheduled afterwards are measured from the true
-  // stopping point, not a limit this run never reached.
-  halted_.store(false, std::memory_order_relaxed);
-  return part.processed - before;
-}
+std::uint64_t Simulator::run_until(Time limit) { return run_windows(limit); }
 
 std::size_t Simulator::pending() const {
-  std::size_t total = 0;
+  std::size_t total = observers_.size();
   for (const auto& part : parts_) {
     total += part->queue.size();
   }
@@ -178,7 +147,7 @@ std::size_t Simulator::pending() const {
 }
 
 std::uint64_t Simulator::events_processed() const {
-  std::uint64_t total = 0;
+  std::uint64_t total = observers_processed_;
   for (const auto& part : parts_) {
     total += part->processed;
   }
@@ -186,7 +155,7 @@ std::uint64_t Simulator::events_processed() const {
 }
 
 std::size_t Simulator::queued_entries() const {
-  std::size_t total = 0;
+  std::size_t total = observers_.queued_entries();
   for (const auto& part : parts_) {
     total += part->queue.queued_entries();
   }
@@ -194,7 +163,7 @@ std::size_t Simulator::queued_entries() const {
 }
 
 std::size_t Simulator::slot_high_water() const {
-  std::size_t high = 0;
+  std::size_t high = observers_.slot_high_water();
   for (const auto& part : parts_) {
     high = std::max(high, part->queue.slot_high_water());
   }
@@ -208,7 +177,7 @@ void Simulator::start_probe(Time period, Probe probe) {
   stop_probe();
   probe_ = std::move(probe);
   probe_period_ = period;
-  probe_event_ = schedule_after(period, [this] { fire_probe(); });
+  probe_event_ = observe_after(period, [this] { fire_probe(); });
 }
 
 void Simulator::stop_probe() {
@@ -229,14 +198,14 @@ void Simulator::fire_probe() {
   // Reschedule only while other work remains: a probe alone in the queue
   // would otherwise keep run() alive forever.
   if (pending() > 0) {
-    probe_event_ = schedule_after(probe_period_, [this] { fire_probe(); });
+    probe_event_ = observe_after(probe_period_, [this] { fire_probe(); });
   }
 }
 
-// --- partitioned mode -------------------------------------------------------
+// --- partitions and the run loop ---------------------------------------------
 
 void Simulator::configure_partitions(PartitionPlan plan, std::uint32_t workers) {
-  if (partitioned_) {
+  if (plan_.partitions != 0) {
     throw std::logic_error("Simulator::configure_partitions: already partitioned");
   }
   if (plan.partitions == 0) {
@@ -254,7 +223,6 @@ void Simulator::configure_partitions(PartitionPlan plan, std::uint32_t workers) 
     throw std::logic_error("Simulator::configure_partitions: simulator already has events");
   }
   plan_ = std::move(plan);
-  partitioned_ = true;
   parts_.reserve(plan_.partitions + 1);
   for (std::uint32_t p = 0; p < plan_.partitions; ++p) {
     parts_.push_back(std::make_unique<Partition>());
@@ -263,124 +231,147 @@ void Simulator::configure_partitions(PartitionPlan plan, std::uint32_t workers) 
 }
 
 void Simulator::set_workers(std::uint32_t workers) {
-  const std::uint32_t clamped =
-      partitioned_ ? std::clamp(workers, 1U, plan_.partitions) : std::max(workers, 1U);
-  if (!threads_.empty() && clamped != workers_) {
+  if (!threads_.empty()) {
     throw std::logic_error("Simulator::set_workers: worker pool already started");
   }
-  workers_ = clamped;
-}
-
-std::uint32_t Simulator::partitions() const {
-  return partitioned_ ? plan_.partitions : 1U;
-}
-
-std::uint32_t Simulator::partition_of_node(std::uint32_t node) const {
-  if (!partitioned_) {
-    return 0;
-  }
-  if (node >= plan_.node_partition.size()) {
-    throw std::out_of_range("Simulator::partition_of_node: unknown node");
-  }
-  return plan_.node_partition[node];
-}
-
-bool Simulator::cross_partition(std::uint32_t node_a, std::uint32_t node_b) const {
-  return partitioned_ && partition_of_node(node_a) != partition_of_node(node_b);
+  workers_ = workers;
 }
 
 std::uint64_t Simulator::run_windows(std::optional<Time> limit) {
   const std::uint64_t before = events_processed();
   ensure_pool();
-  for (;;) {
-    if (halted()) {
-      break;
-    }
-    // Earliest pending work anywhere.
-    bool any = false;
-    Time tmin = Time::zero();
-    for (const auto& part : parts_) {
-      if (!part->queue.empty()) {
-        const Time t = part->queue.top_time();
-        if (!any || t < tmin) {
-          tmin = t;
-          any = true;
+  Partition& global = *parts_[0];
+  while (!halted()) {
+    if (!window_open_) {
+      // Earliest pending work anywhere.
+      bool any = false;
+      Time tmin = Time::zero();
+      for (const auto& part : parts_) {
+        if (!part->queue.empty()) {
+          const Time t = part->queue.top_time();
+          if (!any || t < tmin) {
+            tmin = t;
+            any = true;
+          }
         }
       }
-    }
-    if (!any || (limit && tmin > *limit)) {
-      if (limit) {
-        for (auto& part : parts_) {
-          part->now = std::max(part->now, *limit);
+      if (!observers_.empty()) {
+        // Observers at an instant run before the events at that instant.
+        const Time t = observers_.top_time();
+        if ((!any || t <= tmin) && (!limit || t <= *limit)) {
+          run_observers_at(t);
+          continue;
         }
       }
-      break;
+      if (!any || (limit && tmin > *limit)) {
+        if (limit) {
+          for (auto& part : parts_) {
+            part->now = std::max(part->now, *limit);
+          }
+        }
+        break;
+      }
+      if (!global.queue.empty() && global.queue.top_time() <= tmin) {
+        // Barrier phase: global events run serially with every partition
+        // parked at or before this instant. With no node partitions nothing
+        // can interleave with them, so the phase runs on to the limit.
+        run_global_until(parts_.size() == 1 ? limit.value_or(Time::max())
+                                            : global.queue.top_time());
+        continue;
+      }
+      // Window [tmin, fence): partitions drain concurrently. The fence never
+      // exceeds the next global event (barrier-context state must not be
+      // overtaken) and cross-partition traffic cannot land below
+      // tmin + lookahead, so the window is causally closed.
+      window_fence_ = tmin + plan_.lookahead;
+      if (!global.queue.empty()) {
+        window_fence_ = std::min(window_fence_, global.queue.top_time());
+      }
+      window_open_ = true;
+    } else if (!global.queue.empty()) {
+      // Resuming a paused window: root code may have scheduled a global
+      // event inside it since.
+      window_fence_ = std::min(window_fence_, global.queue.top_time());
     }
-    Partition& global = *parts_[0];
-    if (!global.queue.empty() && global.queue.top_time() <= tmin) {
-      // Barrier phase: global events run serially with every partition
-      // parked at or before this instant.
-      run_global_at(global.queue.top_time());
+    // A limit inside the window pauses it: partitions stop after `limit`,
+    // the fence and the unmerged outboxes stay, and the next run resumes the
+    // same window. Cutting the fence at the limit instead would move every
+    // clamped or barrier-bound delivery, so slicing would change the run.
+    // An observer event inside the window pauses it the same way, just
+    // before its instant, and the window resumes once it has run.
+    const bool pause = limit && *limit + Time::from_ns(1) < window_fence_;
+    Time stop = pause ? *limit + Time::from_ns(1) : window_fence_;
+    Time clock = limit ? std::min(window_fence_, *limit) : window_fence_;
+    const bool observe = !observers_.empty() && observers_.top_time() < stop;
+    if (observe) {
+      stop = observers_.top_time();
+      clock = stop;
+    }
+    dispatch_window(stop, clock);
+    global.now = std::max(global.now, clock);
+    if (observe) {
+      run_observers_at(stop);
       continue;
     }
-    // Window [tmin, fence): partitions drain concurrently. The fence never
-    // exceeds the next global event (barrier-context state must not be
-    // overtaken) and cross-partition traffic cannot land below
-    // tmin + lookahead, so the window is causally closed.
-    Time fence = tmin + plan_.lookahead;
-    if (!global.queue.empty()) {
-      fence = std::min(fence, global.queue.top_time());
+    if (pause) {
+      break;
     }
-    if (limit) {
-      fence = std::min(fence, *limit + Time::from_ns(1));
-    }
-    const Time clock = limit ? std::min(fence, *limit) : fence;
-    dispatch_window(fence, clock);
     merge_outboxes();
-    global.now = std::max(global.now, clock);
+    window_open_ = false;
   }
   halted_.store(false, std::memory_order_relaxed);
   return events_processed() - before;
 }
 
-void Simulator::run_global_at(Time at) {
+void Simulator::run_global_until(Time until) {
   Partition& global = *parts_[0];
-  global.now = at;
-  while (!halted() && !global.queue.empty() && global.queue.top_time() == at) {
-    Time t;
+  while (!halted() && !global.queue.empty() && global.queue.top_time() <= until) {
     Callback cb;
-    global.queue.pop(t, cb);
+    global.queue.pop(global.now, cb);
     ++global.processed;
     cb();
   }
 }
 
-void Simulator::run_partition_window(Partition& part, std::uint32_t index, Time fence, Time clock) {
-  const ExecCtx saved = tl_exec_ctx;
-  tl_exec_ctx = ExecCtx{this, index};
-  while (!part.queue.empty() && part.queue.top_time() < fence) {
-    Time at;
+void Simulator::run_observers_at(Time at) {
+  parts_[0]->now = std::max(parts_[0]->now, at);
+  while (!halted() && !observers_.empty() && observers_.top_time() == at) {
+    Time t;
     Callback cb;
-    part.queue.pop(at, cb);
-    assert(at >= part.now);
-    part.now = at;
-    ++part.processed;
+    observers_.pop(t, cb);
+    ++observers_processed_;
     cb();
   }
-  part.now = std::max(part.now, clock);
-  tl_exec_ctx = saved;
 }
 
-void Simulator::dispatch_window(Time fence, Time clock) {
-  window_fence_ = fence;
+void Simulator::run_partition_window(Partition& part, std::uint32_t index, Time stop, Time clock) {
+  if (!part.queue.empty() && part.queue.top_time() < stop) {
+    const ExecCtx saved = tl_exec_ctx;
+    tl_exec_ctx = ExecCtx{this, index};
+    do {
+      Time at;
+      Callback cb;
+      part.queue.pop(at, cb);
+      assert(at >= part.now);
+      part.now = at;
+      ++part.processed;
+      cb();
+    } while (!part.queue.empty() && part.queue.top_time() < stop);
+    tl_exec_ctx = saved;
+  }
+  part.now = std::max(part.now, clock);
+}
+
+void Simulator::dispatch_window(Time stop, Time clock) {
   if (nthreads_ <= 1) {
     for (std::uint32_t p = 1; p < parts_.size(); ++p) {
-      run_partition_window(*parts_[p], p, fence, clock);
+      run_partition_window(*parts_[p], p, stop, clock);
     }
     return;
   }
   {
     const std::lock_guard<std::mutex> lk(pool_mu_);
+    pool_stop_ = stop;
     pool_clock_ = clock;
     pool_pending_ = nthreads_ - 1;
     ++pool_epoch_;
@@ -388,7 +379,7 @@ void Simulator::dispatch_window(Time fence, Time clock) {
   pool_cv_.notify_all();
   for (std::uint32_t p = 1; p < parts_.size(); ++p) {
     if ((p - 1) % nthreads_ == 0) {
-      run_partition_window(*parts_[p], p, fence, clock);
+      run_partition_window(*parts_[p], p, stop, clock);
     }
   }
   std::unique_lock<std::mutex> lk(pool_mu_);
@@ -396,29 +387,22 @@ void Simulator::dispatch_window(Time fence, Time clock) {
 }
 
 void Simulator::merge_outboxes() {
-  // Deterministic cross-partition delivery: collect every outbox in source
-  // order (entries within one source are already in schedule order) and
-  // stable-sort by time, yielding the canonical (time, source partition,
-  // sequence) key. Push order into each target queue — and therefore the
-  // (time, order) tie-break — is then independent of thread scheduling.
-  merge_scratch_.clear();
+  // Deterministic cross-partition delivery: apply the outboxes in source
+  // partition order, each already in its schedule order. A queue breaks
+  // time ties by push order, so same-instant deliveries to one partition
+  // land in (source partition, sequence) order — the canonical key — and
+  // deliveries at different instants pop by time whatever their push
+  // order. Nothing here depends on thread scheduling, and no sort is needed.
   for (std::uint32_t p = 1; p < parts_.size(); ++p) {
-    for (Outgoing& out : parts_[p]->outbox) {
-      merge_scratch_.push_back(&out);
+    std::vector<Outgoing>& outbox = parts_[p]->outbox;
+    for (Outgoing& out : outbox) {
+      if (out.cancel_target.valid()) {
+        parts_[out.cancel_target.part]->queue.cancel(out.cancel_target.seq);
+      } else {
+        parts_[out.target]->queue.push(out.at, std::move(out.cb));
+      }
     }
-  }
-  std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
-                   [](const Outgoing* a, const Outgoing* b) { return a->at < b->at; });
-  for (Outgoing* out : merge_scratch_) {
-    if (out->cancel_target.valid()) {
-      parts_[out->cancel_target.part]->queue.cancel(out->cancel_target.seq);
-    } else {
-      parts_[out->target]->queue.push(out->at, std::move(out->cb));
-    }
-  }
-  merge_scratch_.clear();
-  for (std::uint32_t p = 1; p < parts_.size(); ++p) {
-    parts_[p]->outbox.clear();
+    outbox.clear();
   }
 }
 
@@ -458,7 +442,7 @@ void Simulator::worker_main(std::uint32_t slot) {
       return;
     }
     seen = pool_epoch_;
-    const Time fence = window_fence_;
+    const Time stop = pool_stop_;
     const Time clock = pool_clock_;
     lk.unlock();
     // Static partition→thread assignment: the work split is a function of
@@ -466,7 +450,7 @@ void Simulator::worker_main(std::uint32_t slot) {
     // schedule.
     for (std::uint32_t p = 1; p < parts_.size(); ++p) {
       if ((p - 1) % nthreads_ == slot) {
-        run_partition_window(*parts_[p], p, fence, clock);
+        run_partition_window(*parts_[p], p, stop, clock);
       }
     }
     lk.lock();

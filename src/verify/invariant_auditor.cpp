@@ -31,7 +31,7 @@ InvariantAuditor::InvariantAuditor(balancer::ClusterSim& world, AuditorConfig co
     : world_{world}, config_{config} {
   world_.set_observer(this);
   if (config_.epoch > sim::Time::zero()) {
-    world_.simulator().schedule_after(config_.epoch, [this] { epoch_sweep(); });
+    world_.simulator().observe_after(config_.epoch, [this] { epoch_sweep(); });
   }
 }
 
@@ -82,7 +82,7 @@ void InvariantAuditor::epoch_sweep() {
     audit_sequences(*host);
   }
   audit_convergence();
-  world_.simulator().schedule_after(config_.epoch, [this] { epoch_sweep(); });
+  world_.simulator().observe_after(config_.epoch, [this] { epoch_sweep(); });
 }
 
 void InvariantAuditor::audit_pages(balancer::ProcessHost& host) {

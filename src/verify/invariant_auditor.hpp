@@ -43,9 +43,10 @@ namespace ampom::verify {
 
 struct AuditorConfig {
   // Period of the standing sweep over all processes (zero = trigger events
-  // only). The epoch event re-arms itself for the whole run; ClusterSim
-  // halts the simulator when every process finishes, so it never keeps a
-  // run alive.
+  // only). The epoch is an observer event (Simulator::observe_at), so the
+  // sweeps leave the schedule unchanged. It re-arms itself for the whole
+  // run; ClusterSim halts the simulator when every process finishes, so it
+  // never keeps a run alive.
   sim::Time epoch{sim::Time::from_ms(25)};
   bool throw_on_violation{true};  // false: count + record, keep running
   std::size_t trail_limit{64};    // audit-trail ring size (events kept)

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "balancer/cluster_sim.hpp"
@@ -237,6 +240,54 @@ TEST(LoadBalancerTest, CheckpointWorldNeverMovesThroughTheFileServer) {
     } else {
       EXPECT_NE(host->current_node(), kFileServer);
     }
+  }
+}
+
+// Regression: with the file server the least-loaded node, the scan used to
+// pick it as the destination, migrate_to refused every host, and the tick
+// made no move although nodes 1 and 2 could take one. Nine jobs homed on
+// node 0 of a 4-node world held the loads at 7/1/1/0 from 4.76 s to 8.26 s,
+// five ticks with no migration in flight and no decision. The scan skips
+// nodes no move may target, so node 0 sheds on the next idle tick.
+TEST(LoadBalancerTest, CheckpointWorldBalancesPastAnIdleFileServer) {
+  ClusterSim world{4, driver::Scheme::Checkpoint};
+  constexpr net::NodeId kFileServer = 3;
+  for (int i = 0; i < 9; ++i) {
+    world.spawn(sequential_job(0, 60000));
+  }
+  const LoadBalancer::Config cfg;
+  LoadBalancer balancer{world, cfg};
+  balancer.start();
+
+  // The longest stretch with node 0 at least three jobs above node 1 or 2,
+  // no migration in flight, and no new decision.
+  const Time step = Time::from_ms(50);
+  Time stalled{};
+  Time longest_stall{};
+  std::uint64_t decisions = 0;
+  std::function<void()> sample = [&] {
+    const std::uint64_t idlest = std::min(world.active_on(1), world.active_on(2));
+    const bool imbalanced = world.active_on(0) >= idlest + 3;
+    if (world.migrations_in_flight() == 0 && imbalanced && balancer.decisions() == decisions) {
+      stalled += step;
+      longest_stall = std::max(longest_stall, stalled);
+    } else {
+      stalled = Time::zero();
+    }
+    decisions = balancer.decisions();
+    if (world.active_on(0) > 0) {
+      world.simulator().schedule_after(step, [&] { sample(); });
+    }
+  };
+  world.simulator().schedule_at(step, [&] { sample(); });
+  world.run();
+
+  EXPECT_LT(longest_stall.sec(), (cfg.period * 2).sec())
+      << "balancer idle while node 0 was overloaded";
+  EXPECT_GE(balancer.decisions(), 4u);
+  for (const auto& host : world.hosts()) {
+    EXPECT_TRUE(host->finished());
+    EXPECT_NE(host->current_node(), kFileServer);
   }
 }
 

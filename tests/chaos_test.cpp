@@ -10,11 +10,15 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
 #include "driver/builder.hpp"
 #include "driver/runner.hpp"
+#include "net/fault_injector.hpp"
+#include "trace/trace.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ampom::balancer {
@@ -126,7 +130,11 @@ struct ChaosOutcome {
   std::uint64_t rehomes{0};
   std::uint64_t pages_recovered{0};
   std::uint64_t injected_drops{0};
-  std::string trace;
+  net::FaultInjectorStats faults;
+  // Every message's fate as the fabric recorded it, in order: (time, event
+  // — the payload name on send, then drop/duplicate/crash_drop/deliver —,
+  // node, correlation id, wire bytes).
+  std::vector<std::tuple<Time, std::string, std::uint32_t, std::uint64_t, std::uint64_t>> net_log;
   bool all_pages_home{true};
 };
 
@@ -137,6 +145,11 @@ ChaosOutcome run_crash_scenario(std::uint64_t seed) {
   driver::FaultPlan plan = lossy_plan(0.02, seed);
   plan.crashes.push_back({/*node=*/1, /*at=*/Time::from_sec(1.2), /*restore_at=*/{}});
   world.set_fault_plan(plan);
+  trace::TraceConfig trace_config;
+  trace_config.enabled = true;
+  trace_config.sched_sample_period = Time::zero();
+  trace::TraceRecorder recorder{trace_config};
+  world.set_trace(&recorder);
 
   ProcessHost& host = world.spawn(paging_job(0));
   world.simulator().schedule_at(Time::from_sec(0.4), [&host] { host.migrate_to(1); });
@@ -156,7 +169,12 @@ ChaosOutcome run_crash_scenario(std::uint64_t seed) {
   out.rehomes = balancer.rehomes();
   out.pages_recovered = host.deputy().stats().pages_recovered;
   out.injected_drops = world.fault_injector()->stats().dropped;
-  out.trace = world.fault_injector()->trace();
+  out.faults = world.fault_injector()->stats();
+  for (const trace::Event& event : recorder.events()) {
+    if (event.cat == trace::Category::kNet) {
+      out.net_log.emplace_back(event.ts, event.name, event.node, event.corr, event.arg0);
+    }
+  }
   const mem::PageLedger& ledger = host.ledger();
   for (mem::PageId page = 0; page < ledger.page_count(); ++page) {
     out.all_pages_home = out.all_pages_home && ledger.owner(page) == 0u;
@@ -179,9 +197,15 @@ TEST(Chaos, CrashScenarioIsDeterministic) {
   const ChaosOutcome a = run_crash_scenario(/*seed=*/23);
   const ChaosOutcome b = run_crash_scenario(/*seed=*/23);
   EXPECT_EQ(a.makespan_sec, b.makespan_sec);
-  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.faults.messages_seen, b.faults.messages_seen);
+  EXPECT_EQ(a.faults.dropped, b.faults.dropped);
+  EXPECT_EQ(a.faults.crash_drops, b.faults.crash_drops);
+  EXPECT_GT(a.faults.crash_drops, 0u);  // the crash really suppressed traffic
   EXPECT_EQ(a.injected_drops, b.injected_drops);
   EXPECT_EQ(a.recoveries, b.recoveries);
+  EXPECT_EQ(a.pages_recovered, b.pages_recovered);
+  EXPECT_FALSE(a.net_log.empty());
+  EXPECT_EQ(a.net_log, b.net_log);
 }
 
 TEST(Chaos, BalancerSkipsDeadNodesWhenPlacing) {

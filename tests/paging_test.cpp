@@ -219,7 +219,7 @@ TEST_F(PagingFixture, SyscallRedirectionRoundTrip) {
 // probe count bounded by outage/ceiling (not one per retry step).
 TEST_F(PagingFixture, BackoffCeilingSurvivesOutageAndProbesBounded) {
   wire_up({}, 1);
-  net::FaultInjector injector{simulator, 1};
+  net::FaultInjector injector{simulator, 1, 3};
   fabric.set_fault_injector(&injector);
   injector.set_link_down(kHome, kDest, true);
   const Time outage = Time::from_sec(10);
@@ -251,7 +251,7 @@ TEST(PagingRetryJitter, DecorrelatesClientsDeterministically) {
   const auto probe_counts = [] {
     sim::Simulator simulator;
     net::Fabric fabric{simulator, 2};
-    net::FaultInjector injector{simulator, 1};
+    net::FaultInjector injector{simulator, 1, 3};
     fabric.set_fault_injector(&injector);
     injector.set_link_down(0, 1, true);  // nothing is ever delivered
 

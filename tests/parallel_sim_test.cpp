@@ -1,4 +1,4 @@
-// The partitioned parallel engine behind ScenarioBuilder::workers(N).
+// The one event engine on multi-zone worlds, and ScenarioBuilder::workers(N).
 //
 // The headline claim is bit-identity: the partitioned schedule (zone
 // sub-queues, conservative lookahead windows, barrier-merged cross-zone
@@ -6,14 +6,16 @@
 // decides how many OS threads execute it. So workers(1) and workers(4) must
 // agree on *everything* — makespan, event count, every migration, every
 // final placement, every recorded trace event — even on a faulty world
-// where message fates are drawn per message. The second claim is that the
-// engine stays honest under chaos: a zone outage with the invariant auditor
-// attached runs violation-free on a workers(4) scenario.
+// where message fates are drawn per message. Running a world in run_until()
+// slices must not change it either. The last claim is that the engine stays
+// honest under chaos: a zone outage with the invariant auditor attached runs
+// violation-free on a workers(4) scenario.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
@@ -23,6 +25,7 @@
 #include "simcore/simulator.hpp"
 #include "trace/trace.hpp"
 #include "verify/invariant_auditor.hpp"
+#include "workload/hpcc.hpp"
 #include "workload/synthetic.hpp"
 
 namespace ampom {
@@ -46,6 +49,7 @@ balancer::JobSpec burst_job(net::NodeId home, std::uint64_t touches, int index) 
 // Everything observable about one finished run, trace stream included.
 struct RunResult {
   Time makespan{};
+  std::vector<Time> finished_at;
   std::uint64_t events{0};
   std::uint64_t migrations{0};
   std::uint64_t failed_migrations{0};
@@ -56,6 +60,7 @@ struct RunResult {
 
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.finished_at, b.finished_at);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.failed_migrations, b.failed_migrations);
@@ -74,6 +79,23 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     ASSERT_EQ(x.arg0, y.arg0) << "trace event " << i;
     ASSERT_EQ(x.arg1, y.arg1) << "trace event " << i;
   }
+}
+
+RunResult collect(balancer::ClusterSim& world, const trace::TraceRecorder& recorder) {
+  RunResult result;
+  result.makespan = world.makespan();
+  result.events = world.simulator().events_processed();
+  for (const auto& host : world.hosts()) {
+    result.finished_at.push_back(host->finished_at());
+    result.migrations += host->migrations();
+    result.failed_migrations += host->failed_migrations();
+    result.placement.push_back(host->current_node());
+  }
+  for (net::NodeId id = 0; id < world.node_count(); ++id) {
+    result.pings += world.infod(id).pings_sent();
+  }
+  result.trace_events = recorder.events();  // deterministic shard merge
+  return result;
 }
 
 // A 2000-node (20 zones x 100) gossip world with per-message faults and a
@@ -119,19 +141,65 @@ RunResult run_faulty_world(std::size_t workers) {
   balancer::LoadBalancer balancer{world, cfg};
   balancer.start();
   world.run();
+  return collect(world, recorder);
+}
 
-  RunResult result;
-  result.makespan = world.makespan();
-  result.events = world.simulator().events_processed();
-  for (const auto& host : world.hosts()) {
-    result.migrations += host->migrations();
-    result.failed_migrations += host->failed_migrations();
-    result.placement.push_back(host->current_node());
+// A 4x8 world under contention — hot nodes in two zones, so jobs shed
+// within and across zones — run whole (`slice` zero) or in run_until()
+// slices of `slice`, the way perfbench times its cluster worlds. `observed`
+// attaches the scheduler probe (50 us samples) and the invariant auditor
+// (5 ms epochs); the result then leaves out what only they add: the kSched
+// samples and their own events.
+RunResult run_contended_world(std::size_t workers, Time slice, bool observed = false) {
+  const driver::Scenario scenario = driver::ScenarioBuilder{}
+                                        .scheme(driver::Scheme::Ampom)
+                                        .topology(/*zones=*/4, /*nodes_per_zone=*/8)
+                                        .gossip(/*fan_out=*/3)
+                                        .workers(workers)
+                                        .build();
+  balancer::ClusterSim world{scenario};
+  trace::TraceConfig trace_config;
+  trace_config.enabled = true;
+  trace_config.sched_sample_period = observed ? Time::from_us(50) : Time::zero();
+  trace::TraceRecorder recorder{trace_config};
+  world.set_trace(&recorder);
+  std::optional<verify::InvariantAuditor> auditor;
+  if (observed) {
+    recorder.attach_scheduler_probe(world.simulator());
+    verify::AuditorConfig audit;
+    audit.epoch = Time::from_ms(5);
+    auditor.emplace(world, audit);
   }
-  for (net::NodeId id = 0; id < world.node_count(); ++id) {
-    result.pings += world.infod(id).pings_sent();
+  for (int i = 0; i < 12; ++i) {
+    world.spawn(burst_job(static_cast<net::NodeId>(i % 2 == 0 ? 0 : 9), 12000, i));
   }
-  result.trace_events = recorder.events();  // deterministic shard merge
+  balancer::LoadBalancer::Config cfg;
+  cfg.assumed_freeze_seconds = 0.2;
+  balancer::LoadBalancer balancer{world, cfg};
+  balancer.start();
+  if (slice == Time::zero()) {
+    world.run();
+  } else {
+    Time until = slice;
+    while (!world.run_until(until)) {
+      EXPECT_EQ(world.simulator().now(), until);
+      until += slice;
+    }
+  }
+  RunResult result = collect(world, recorder);
+  if (observed) {
+    std::uint64_t probe_fires = 0;
+    std::erase_if(result.trace_events, [&](const trace::Event& event) {
+      if (event.cat != trace::Category::kSched) {
+        return false;
+      }
+      probe_fires += std::strcmp(event.name, "queue_depth") == 0 ? 1 : 0;
+      return true;
+    });
+    EXPECT_GT(probe_fires, 0u);
+    EXPECT_GT(auditor->epochs_run(), 0u);
+    result.events -= probe_fires + auditor->epochs_run();
+  }
   return result;
 }
 
@@ -145,16 +213,69 @@ TEST(ParallelSim, FourWorkersBitIdenticalToOneOnFaultyWorld) {
   EXPECT_GT(one.trace_events.size(), 0u);
 }
 
-TEST(ParallelSim, WorkersRequireMultiZoneTopology) {
-  EXPECT_THROW((void)driver::ScenarioBuilder{}
-                   .scheme(driver::Scheme::Ampom)
-                   .topology(/*zones=*/1, /*nodes_per_zone=*/16)
-                   .workers(4)
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW(
-      (void)driver::ScenarioBuilder{}.scheme(driver::Scheme::Ampom).workers(2).build(),
-      std::invalid_argument);
+// A limit that falls inside a window pauses it instead of cutting its
+// fence, so a sliced run is the whole run, at any worker count. Slices of
+// 250 ms are perfbench's; 37 ms lands the limits off any round instant;
+// 1.013 ms and 113 us put a limit inside most windows (the lookahead is the
+// 75 us link latency), where a cut fence would move migration commits.
+TEST(ParallelSim, SlicedRunsMatchTheWholeRun) {
+  const RunResult whole = run_contended_world(1, Time::zero());
+  EXPECT_GT(whole.migrations, 0u);
+  EXPECT_GT(whole.trace_events.size(), 0u);
+  for (const std::size_t workers : {1u, 4u}) {
+    for (const Time slice : {Time::from_ms(250), Time::from_ms(37), Time::from_us(1013),
+                             Time::from_us(113)}) {
+      SCOPED_TRACE(testing::Message() << "workers " << workers << ", slice " << slice.str());
+      expect_identical(whole, run_contended_world(workers, slice));
+    }
+  }
+  expect_identical(whole, run_contended_world(4, Time::zero()));
+}
+
+// Observer events never bound a window, so probe samples and audit epochs
+// that fall inside windows (the lookahead is 75 us) leave the schedule of
+// the unwatched run unchanged, whole or sliced.
+TEST(ParallelSim, ObserversLeaveTheScheduleUnchanged) {
+  const RunResult plain = run_contended_world(1, Time::zero());
+  for (const Time slice : {Time::zero(), Time::from_ms(250), Time::from_us(113)}) {
+    SCOPED_TRACE(testing::Message() << "slice " << slice.str());
+    expect_identical(plain, run_contended_world(4, slice, /*observed=*/true));
+  }
+}
+
+// workers is a thread count only: a world without zone partitions (one zone,
+// or the flat paper testbed) accepts any value and runs the same events.
+TEST(ParallelSim, WorkersNeverChooseTheEngine) {
+  const auto run_one_zone = [](std::size_t workers) {
+    const driver::Scenario scenario = driver::ScenarioBuilder{}
+                                          .scheme(driver::Scheme::Ampom)
+                                          .topology(/*zones=*/1, /*nodes_per_zone=*/8)
+                                          .gossip(/*fan_out=*/3)
+                                          .workers(workers)
+                                          .build();
+    balancer::ClusterSim world{scenario};
+    EXPECT_EQ(world.simulator().partitions(), 0u);
+    trace::TraceConfig trace_config;
+    trace_config.enabled = true;
+    trace_config.sched_sample_period = Time::zero();
+    trace::TraceRecorder recorder{trace_config};
+    world.set_trace(&recorder);
+    for (int i = 0; i < 4; ++i) {
+      world.spawn(burst_job(0, 8000, i));
+    }
+    balancer::LoadBalancer balancer{world, balancer::LoadBalancer::Config{}};
+    balancer.start();
+    world.run();
+    return collect(world, recorder);
+  };
+  const RunResult serial = run_one_zone(0);
+  EXPECT_GT(serial.migrations, 0u);
+  expect_identical(serial, run_one_zone(4));
+  EXPECT_NO_THROW((void)driver::ScenarioBuilder{}
+                      .scheme(driver::Scheme::Ampom)
+                      .hpcc_workload(workload::HpccKernel::Dgemm, 64)
+                      .workers(2)
+                      .build());
 }
 
 TEST(ParallelSim, AuditorStaysCleanUnderChaosWithWorkers) {

@@ -490,7 +490,7 @@ TEST(PerfGateParallel, BaselineEventDriftPastToleranceFails) {
 
 TEST(PerfGateParallel, WallTimeTrajectoryRegressionFails) {
   // w1 on the big case takes 3x the baseline's relative wall time while the
-  // anchor is unchanged: the serial engine's scaling shape regressed.
+  // anchor is unchanged: the one-thread run's scaling shape regressed.
   const Document baseline = parallel(healthy_parallel());
   std::vector<bench::ParallelCase> grid = healthy_parallel();
   for (bench::WorkerRun& run : grid[1].runs) {

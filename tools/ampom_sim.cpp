@@ -38,9 +38,9 @@ using namespace ampom;
   --seed=N               workload seed                         (default 1)
   --jobs=N               worker threads for sweeps (comma lists); results
                          are bit-identical to --jobs=1          (default 1)
-  --workers=N            intra-run simulator threads; the partitioned
-                         engine splits a world by zone, and the paper's
-                         testbed is one zone, so it runs serially
+  --workers=N            intra-run simulator threads; the engine splits
+                         a multi-zone world by zone, and the paper's
+                         testbed has no zones, so it runs on one thread
                          regardless                             (default 0)
 
   environment:
